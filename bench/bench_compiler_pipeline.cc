@@ -40,7 +40,7 @@ printMatrix()
             std::printf("  %-6s compiles (model estimate %.0f "
                         "cycles)\n",
                         w->name().c_str(),
-                        r.report.modelCycleEstimate);
+                        analyticCycleEstimate(*w, config));
         else
             std::printf("  %-6s rejected [%s] %s\n",
                         w->name().c_str(),

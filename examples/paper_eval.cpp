@@ -305,6 +305,8 @@ struct KernelCoverage
     std::string reason;
     bool validated = false;
     std::uint64_t cycles = 0;
+    /** Structure-only analytic Marionette estimate
+     *  (analyticCycleEstimate), the cross-check anchor. */
     double modelCycles = 0.0;
     /** Schedule-aware model estimate (trip counts, recurrence IIs
      *  and predicted link loads of the placed program). */
@@ -409,7 +411,8 @@ machineValidation(const Options &opts, const SweepRunner &runner)
         c.validated = r.validated;
         if (r.compiled) {
             c.cycles = r.run.cycles;
-            c.modelCycles = r.modelEstimate;
+            c.modelCycles =
+                analyticCycleEstimate(*jobs[i].workload, big);
         }
         auto t0 = std::chrono::steady_clock::now();
         CompileResult cr =
@@ -815,30 +818,22 @@ extractBool(const std::string &obj, const std::string &key)
            std::min(obj.find(',', at), obj.find('}', at));
 }
 
-/** Numeric field scan; -1 when the key is absent. */
-std::int64_t
-extractNumber(const std::string &obj, const std::string &key)
+/** Numeric field scan: false when @p key is absent or its value
+ *  is not a number, so a gate reading it can fail closed. */
+bool
+extractNumber(const std::string &obj, const std::string &key,
+              double &out)
 {
     std::size_t at = obj.find("\"" + key + "\"");
     if (at == std::string::npos)
-        return -1;
+        return false;
     at = obj.find(':', at);
     if (at == std::string::npos)
-        return -1;
-    return std::atoll(obj.c_str() + at + 1);
-}
-
-/** Floating-point field scan; -1.0 when the key is absent. */
-double
-extractDouble(const std::string &obj, const std::string &key)
-{
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return -1.0;
-    at = obj.find(':', at);
-    if (at == std::string::npos)
-        return -1.0;
-    return std::atof(obj.c_str() + at + 1);
+        return false;
+    const char *begin = obj.c_str() + at + 1;
+    char *end = nullptr;
+    out = std::strtod(begin, &end);
+    return end != begin;
 }
 
 /** Diff (kernel, compiled, failed_pass) against the expectation
@@ -906,21 +901,38 @@ checkCoverage(const std::string &path,
         // timing regression blows through it).  The run is fully
         // deterministic, so the band can be tight.
         constexpr double kCycleTolerance = 0.05;
-        std::int64_t want_cycles = extractNumber(obj, "cycles");
-        if (c.compiled && want_compiled && want_cycles > 0) {
+        // Both bands fail closed: an expectation for a compiled
+        // kernel that lacks either number (or holds a non-number)
+        // is an error, never a silently skipped check.
+        auto require = [&](const char *key, double &out) {
+            if (extractNumber(obj, key, out) && out > 0.0)
+                return;
+            std::fprintf(stderr,
+                         "coverage check: %s expectation has no "
+                         "positive numeric \"%s\"\n",
+                         c.kernel.c_str(), key);
+            ok = false;
+            out = 0.0;
+        };
+        double want_cycles = 0.0;
+        double want_ratio = 0.0;
+        if (want_compiled) {
+            require("cycles", want_cycles);
+            require("mapped_to_scheduled_ratio", want_ratio);
+        }
+        if (c.compiled && want_compiled && want_cycles > 0.0) {
             double rel =
                 std::fabs(static_cast<double>(c.cycles) -
-                          static_cast<double>(want_cycles)) /
-                static_cast<double>(want_cycles);
+                          want_cycles) /
+                want_cycles;
             if (rel > kCycleTolerance) {
                 std::fprintf(
                     stderr,
                     "coverage check: %s runs in %llu cycles, "
-                    "expected %lld (+/-%.0f%%)\n",
+                    "expected %.0f (+/-%.0f%%)\n",
                     c.kernel.c_str(),
                     static_cast<unsigned long long>(c.cycles),
-                    static_cast<long long>(want_cycles),
-                    100.0 * kCycleTolerance);
+                    want_cycles, 100.0 * kCycleTolerance);
                 ok = false;
             }
         }
@@ -932,10 +944,13 @@ checkCoverage(const std::string &path,
         // invalidate every scheduled-cycle prediction downstream
         // (sweep modelEstimate, unroll ablation).  The band is
         // 0.10 absolute or 10% relative, whichever is larger.
-        double want_ratio =
-            extractDouble(obj, "mapped_to_scheduled_ratio");
-        if (c.compiled && want_compiled && want_ratio > 0.0 &&
-            c.scheduledCycles > 0.0) {
+        if (c.compiled && c.scheduledCycles <= 0.0) {
+            std::fprintf(stderr,
+                         "coverage check: %s compiled without a "
+                         "scheduled-cycle estimate\n",
+                         c.kernel.c_str());
+            ok = false;
+        } else if (c.compiled && want_compiled && want_ratio > 0.0) {
             double ratio = static_cast<double>(c.cycles) /
                            c.scheduledCycles;
             double drift = std::fabs(ratio - want_ratio);

@@ -5,7 +5,8 @@
  * The backend splits what used to be one monolithic emit step into
  * three passes over explicit intermediate state:
  *
- *   place  FlatPhases -> Mapping      (backend/placement.cc)
+ *   place  FlatPhases -> Mapping      (backend/placement.cc,
+ *                                     cost_placer.cc)
  *          Every live DFG node, phase generator and drain generator
  *          gets a PE.  The cost placer consumes the Fig. 8
  *          AssignmentPlan and the per-phase netlists built here;

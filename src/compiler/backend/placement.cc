@@ -13,33 +13,17 @@
  *    has a faithful baseline;
  *
  *  - cost (default): timing-driven placement over the mesh
- *    geometry.  The objective is the quantity that actually bounds
- *    mapped cycles: each phase's *recurrence initiation interval* —
- *    the worst loop-carried cycle latency (execute + mesh transit
- *    around the carried closure), which every flattened iteration
- *    pays — plus total weighted wirelength as a tiebreaker (feed-
- *    forward hops cost pipeline-fill once per kernel, recurrence
- *    hops a little more).  Greedy seed (critical-cycle nodes first,
- *    in dependence order, so the chain lays out mesh-adjacent),
- *    then deterministic iterative improvement (relocate/swap moves
- *    from a fixed-seed RNG, strictly-improving accepts over the
- *    exact objective).  A final comparison against the snake layout
- *    keeps whichever scores better, so the cost placer never loses
- *    to its own baseline on the model it optimizes.
+ *    geometry, in cost_placer.cc (placeCost).
  *
- * The Fig. 8 AssignmentPlan informs the tiebreak weighting: when
- * the planner maps every block at II = 1 the pipeline has no timing
- * slack and recurrence hops dominate; blocks already time-extended
- * (II > 1) leave slack, so the weight relaxes.
+ * This file keeps what both share: the netlist and recurrence
+ * marking, the capacity pre-flight, fence fusion (cost path only)
+ * and the snake walk the cost placer compares itself against.
  */
 
 #include <algorithm>
-#include <queue>
 #include <sstream>
 
-#include "compiler/pipeline.h"
-#include "sim/logging.h"
-#include "sim/rng.h"
+#include "compiler/backend/placer.h"
 
 namespace marionette
 {
@@ -333,6 +317,8 @@ buildNetlist(const FlatPhase &phase)
     return edges;
 }
 
+} // namespace
+
 // ------------------------------------------------------------------
 // Snake placer (legacy baseline)
 // ------------------------------------------------------------------
@@ -403,1181 +389,6 @@ placeSnake(Compilation &cc, Mapping &map, int nonlinear_total)
     for (std::size_t p = 0; p + 1 < cc.phases.size(); ++p)
         map.drainPes.push_back(allocPe(false));
 }
-
-// ------------------------------------------------------------------
-// Cost-driven (timing-driven) placer
-// ------------------------------------------------------------------
-
-/** One placeable entity: a phase generator or a live DFG node. */
-struct Entity
-{
-    int phase = 0;
-    NodeId node = invalidNode; ///< invalidNode = the generator.
-    bool nonlinear = false;
-    PeId pe = invalidPe;
-    /** Incident edges as (peer entity, weight) pairs (tiebreak
-     *  wirelength objective; both directions present). */
-    std::vector<std::pair<int, std::uint64_t>> adj;
-    /** Template out-edges (entity indices; closures excluded). */
-    std::vector<int> tmplOut;
-};
-
-class CostPlacer
-{
-  public:
-    CostPlacer(Compilation &cc, Mapping &map, int nonlinear_total)
-        : cc_(cc),
-          map_(map),
-          geom_(cc.config.rows, cc.config.cols,
-                cc.config.meshHopLatency),
-          exec_(cc.config.executeLatency),
-          firstNonlinear_(static_cast<PeId>(
-              cc.config.numPes() - cc.config.nonlinearPes)),
-          taken_(static_cast<std::size_t>(cc.config.numPes()),
-                 false),
-          deadPe_(static_cast<std::size_t>(cc.config.numPes()), 0),
-          capableFree_(cc.config.nonlinearPes),
-          nonlinearTotal_(nonlinear_total),
-          nonlinearUnplaced_(nonlinear_total)
-    {
-        // Dead PEs (and PEs isolated by dead links) are permanently
-        // taken in every search round; the capable-PE reserve
-        // shrinks by the dead capable ones.
-        for (PeId p : cc_.config.faults.effectiveDeadPes(
-                 cc_.config.rows, cc_.config.cols)) {
-            deadPe_[static_cast<std::size_t>(p)] = 1;
-            if (p >= firstNonlinear_)
-                ++deadCapable_;
-        }
-        markDead();
-        capableFree_ -= deadCapable_;
-    }
-
-    void
-    run()
-    {
-        buildEntities();
-
-        // Iterated local search, deterministic throughout; the
-        // best placement across all rounds wins.  Rounds vary the
-        // seed construction — critical-cycle ring embeddings at
-        // shifted anchors, a plain greedy-attach round — and after
-        // each polish the next round re-embeds whichever cycle is
-        // *latency*-critical under the current placement (parallel
-        // chains can hide behind the stage-critical one).
-        std::map<int, std::vector<int>> override_chains;
-        std::vector<PeId> best;
-        std::uint64_t best_obj = ~0ull;
-        for (int round = 0; round < 14; ++round) {
-            reset();
-            bool use_ring = round != 1;
-            attachTopo_ = round >= 2 && round % 2 == 0;
-            int variant = round >= 2 ? (round - 2) / 2 : 0;
-            ringShiftR_ = variant % 2;
-            ringShiftC_ = variant / 2;
-            greedySeed(use_ring ? override_chains
-                                : kNoChains,
-                       use_ring);
-            improve(round);
-            refineCritical();
-            std::uint64_t obj = objective(iiSum(), wire_);
-            if (obj < best_obj) {
-                best_obj = obj;
-                best.clear();
-                for (const Entity &e : entities_)
-                    best.push_back(e.pe);
-            }
-            // Next round embeds the latency-critical chain of the
-            // currently-worst phase.
-            int worst_phase = 0;
-            for (std::size_t p = 0; p < ii_.size(); ++p)
-                if (ii_[p] > ii_[static_cast<std::size_t>(
-                                 worst_phase)])
-                    worst_phase = static_cast<int>(p);
-            std::vector<int> chain =
-                criticalEntities(worst_phase);
-            if (chain.size() >= 4)
-                override_chains[worst_phase] = std::move(chain);
-        }
-        restore(best);
-        commit();
-    }
-
-    /** Exact per-phase recurrence IIs of the final placement. */
-    std::vector<Cycles>
-    phaseIIs() const
-    {
-        std::vector<Cycles> out;
-        for (std::uint64_t score : ii_)
-            out.push_back(scoreMaxII(score));
-        return out;
-    }
-    std::uint64_t wirelength() const { return wire_; }
-    int improvingMoves() const { return improvingMoves_; }
-    std::uint64_t recurrenceWeight() const { return recWeight_; }
-    bool keptSnake() const { return keptSnake_; }
-
-    /** Score a finished external mapping (the snake fallback
-     *  comparison) on the same objective. */
-    std::pair<std::uint64_t, std::uint64_t>
-    scoreMapping(const Mapping &other)
-    {
-        for (Entity &e : entities_) {
-            const PlacedPhase &placed =
-                other.phases[static_cast<std::size_t>(e.phase)];
-            e.pe = e.node == invalidNode ? placed.generator
-                                         : placed.peOf.at(e.node);
-        }
-        std::uint64_t ii_sum = 0;
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            ii_sum += phaseII(static_cast<int>(p));
-        return {ii_sum, fullWire()};
-    }
-
-  private:
-    void
-    chooseWeights()
-    {
-        bool any_ii1 = cc_.plan.blocks.empty();
-        for (const auto &[block, ba] : cc_.plan.blocks)
-            any_ii1 = any_ii1 || ba.ii <= 1;
-        recWeight_ = any_ii1 ? 8 : 4;
-    }
-
-    void
-    buildEntities()
-    {
-        chooseWeights();
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p) {
-            const FlatPhase &phase = cc_.phases[p];
-            Entity gen;
-            gen.phase = static_cast<int>(p);
-            genIdx_.push_back(static_cast<int>(entities_.size()));
-            entities_.push_back(gen);
-            for (const DfgNode &n : phase.body.nodes()) {
-                if (!phase.liveNodes.count(n.id))
-                    continue;
-                Entity e;
-                e.phase = static_cast<int>(p);
-                e.node = n.id;
-                e.nonlinear = isNonlinearOp(n.op);
-                nodeIdx_[{static_cast<int>(p), n.id}] =
-                    static_cast<int>(entities_.size());
-                entities_.push_back(e);
-            }
-            std::set<std::pair<NodeId, NodeId>> closing =
-                closingEdges(phase);
-            closing_.emplace_back();
-            skewEdges_.emplace_back();
-            for (const DataEdge &e : map_.phases[p].edges) {
-                int src = e.src == invalidNode
-                              ? genIdx_[p]
-                              : nodeIdx_.at(
-                                    {static_cast<int>(p), e.src});
-                int dst =
-                    nodeIdx_.at({static_cast<int>(p), e.dst});
-                std::uint64_t w = e.recurrence ? recWeight_ : 1;
-                entities_[static_cast<std::size_t>(src)]
-                    .adj.emplace_back(dst, w);
-                entities_[static_cast<std::size_t>(dst)]
-                    .adj.emplace_back(src, w);
-                if (e.src != invalidNode &&
-                    closing.count({e.src, e.dst})) {
-                    closing_.back().push_back(
-                        {src, dst,
-                         closingEdgeSlack(phase, e.src, e.dst)});
-                    continue;
-                }
-                // Feed-forward edge (generator feeds included):
-                // part of the skew DP's DAG.
-                skewEdges_.back().emplace_back(src, dst);
-                if (e.src != invalidNode)
-                    entities_[static_cast<std::size_t>(src)]
-                        .tmplOut.push_back(dst);
-            }
-            // Topological order for the single-pass skew DP: DFG
-            // node ids ascend along dependences and the generator
-            // entity precedes every node entity.
-            std::sort(skewEdges_.back().begin(),
-                      skewEdges_.back().end(),
-                      [](const std::pair<int, int> &a,
-                         const std::pair<int, int> &b) {
-                          return a.second < b.second;
-                      });
-        }
-        ii_.assign(cc_.phases.size(), 0);
-        fireScratch_.assign(entities_.size(), 0);
-    }
-
-    Cycles
-    lat(int a, int b) const
-    {
-        return geom_.latency(
-            entities_[static_cast<std::size_t>(a)].pe,
-            entities_[static_cast<std::size_t>(b)].pe);
-    }
-
-    /** Longest-latency template path @p at -> @p target (execute
-     *  per stage + mesh per edge); -1 when unreachable. */
-    std::int64_t
-    longestTo(int at, int target,
-              std::map<int, std::int64_t> &memo) const
-    {
-        if (at == target)
-            return static_cast<std::int64_t>(exec_);
-        auto m = memo.find(at);
-        if (m != memo.end())
-            return m->second;
-        memo[at] = -1;
-        std::int64_t best = -1;
-        for (int next :
-             entities_[static_cast<std::size_t>(at)].tmplOut) {
-            std::int64_t tail = longestTo(next, target, memo);
-            if (tail < 0)
-                continue;
-            best = std::max(best,
-                            static_cast<std::int64_t>(exec_) +
-                                static_cast<std::int64_t>(
-                                    lat(at, next)) +
-                                tail);
-        }
-        memo[at] = best;
-        return best;
-    }
-
-    /**
-     * Worst operand-arrival skew of @p phase: for every data edge,
-     * how much earlier its word lands than the consumer's
-     * last-arriving operand (longest feed-forward path from the
-     * generator).  Early words queue in the consumer's 8-deep
-     * channel, so a skew of S backpressures the producers into an
-     * effective initiation interval of about S / 8 — the binding
-     * constraint of recurrence-free kernels (HT's pixel pipeline),
-     * invisible to wirelength and cycle-latency objectives.
-     */
-    Cycles
-    phaseSkew(int phase) const
-    {
-        const auto &edges =
-            skewEdges_[static_cast<std::size_t>(phase)];
-        auto &fire = fireScratch_;
-        fire[static_cast<std::size_t>(genIdx_[
-            static_cast<std::size_t>(phase)])] = 0;
-        for (const auto &[src, dst] : edges)
-            fire[static_cast<std::size_t>(dst)] = 0;
-        for (const auto &[src, dst] : edges) {
-            std::int64_t arrival =
-                (src == genIdx_[static_cast<std::size_t>(phase)]
-                     ? 0
-                     : fire[static_cast<std::size_t>(src)] +
-                           static_cast<std::int64_t>(exec_)) +
-                static_cast<std::int64_t>(lat(src, dst));
-            fire[static_cast<std::size_t>(dst)] = std::max(
-                fire[static_cast<std::size_t>(dst)], arrival);
-        }
-        std::int64_t skew = 0;
-        for (const auto &[src, dst] : edges) {
-            std::int64_t arrival =
-                (src == genIdx_[static_cast<std::size_t>(phase)]
-                     ? 0
-                     : fire[static_cast<std::size_t>(src)] +
-                           static_cast<std::int64_t>(exec_)) +
-                static_cast<std::int64_t>(lat(src, dst));
-            skew = std::max(
-                skew,
-                fire[static_cast<std::size_t>(dst)] - arrival);
-        }
-        return static_cast<Cycles>(skew);
-    }
-
-    /**
-     * Per-phase timing score under the current positions.  The
-     * phase's *observable* II bound — the worst carried-cycle
-     * latency, or the channel-depth-amortized operand skew when
-     * that is larger — rides in the high bits; the sum of squared
-     * per-cycle IIs plus the squared skew ride in the low bits so
-     * the search keeps a gradient when two constraints tie at the
-     * max — plateaus there are what strand random and steepest
-     * moves above the floor.
-     */
-    std::uint64_t
-    phaseII(int phase) const
-    {
-        Cycles max_ii = 0;
-        std::uint64_t sq = 0;
-        for (const ClosingPair &cp :
-             closing_[static_cast<std::size_t>(phase)]) {
-            std::map<int, std::int64_t> memo;
-            std::int64_t body = longestTo(cp.consumer, cp.fin, memo);
-            if (body < 0)
-                continue;
-            // A closing channel seeded `slack` words deep lets the
-            // consumer run that many slots ahead, so the cycle
-            // sustains II = ceil(round-trip / slack).
-            const Cycles rt = static_cast<Cycles>(body) +
-                              lat(cp.fin, cp.consumer);
-            const Cycles ii = (rt + cp.slack - 1) / cp.slack;
-            max_ii = std::max(max_ii, ii);
-            sq += static_cast<std::uint64_t>(ii) * ii;
-        }
-        // Channel depth (8) amortizes skew: it only binds once it
-        // exceeds 8x the cycle-driven II.  Folded in II units, and
-        // only when it is binding or close to it — for cycle-
-        // dominated phases the skew is slack and must not perturb
-        // the cycle search's gradient.
-        Cycles skew_ii = (phaseSkew(phase) + 7) / 8;
-        if (2 * skew_ii > max_ii) {
-            max_ii = std::max(max_ii, skew_ii);
-            sq += static_cast<std::uint64_t>(skew_ii) * skew_ii;
-        }
-        return (static_cast<std::uint64_t>(max_ii) << 24) +
-               std::min<std::uint64_t>(sq, (1u << 24) - 1);
-    }
-
-    static Cycles
-    scoreMaxII(std::uint64_t score)
-    {
-        return static_cast<Cycles>(score >> 24);
-    }
-
-    std::uint64_t
-    fullWire() const
-    {
-        std::uint64_t c = 0;
-        for (const Entity &e : entities_)
-            for (const auto &[peer, w] : e.adj)
-                c += w * geom_.latency(
-                             e.pe,
-                             entities_[static_cast<std::size_t>(
-                                           peer)]
-                                 .pe);
-        return c / 2; // each edge counted from both ends.
-    }
-
-    /** Combined objective: recurrence IIs dominate (they are paid
-     *  once per flattened iteration), wirelength breaks ties. */
-    std::uint64_t
-    objective(std::uint64_t ii_sum, std::uint64_t wire) const
-    {
-        return ii_sum * 4096 + wire;
-    }
-
-    bool
-    eligible(const Entity &e, PeId pe) const
-    {
-        if (taken_[static_cast<std::size_t>(pe)])
-            return false;
-        if (e.nonlinear)
-            return pe >= firstNonlinear_;
-        // Ordinary nodes may use capable PEs only while enough
-        // remain free for the not-yet-placed nonlinear nodes.
-        if (pe >= firstNonlinear_ &&
-            capableFree_ <= nonlinearUnplaced_)
-            return false;
-        return true;
-    }
-
-    void
-    claim(Entity &e, PeId pe)
-    {
-        // The capacity pre-flight plus the holdback invariant make
-        // exhaustion unreachable; fail fast rather than index with
-        // invalidPe if a future change breaks that reasoning.
-        MARIONETTE_ASSERT(pe != invalidPe,
-                          "placer ran out of eligible PEs");
-        taken_[static_cast<std::size_t>(pe)] = true;
-        if (pe >= firstNonlinear_)
-            --capableFree_;
-        if (e.nonlinear)
-            --nonlinearUnplaced_;
-        e.pe = pe;
-    }
-
-    /** Wirelength of edges incident to @p idx with it at @p pe
-     *  (peer @p other_idx virtually at @p other_pe for swaps). */
-    std::uint64_t
-    incidentWire(int idx, PeId pe, int other_idx,
-                 PeId other_pe) const
-    {
-        const Entity &e = entities_[static_cast<std::size_t>(idx)];
-        std::uint64_t c = 0;
-        for (const auto &[peer, w] : e.adj) {
-            PeId q = peer == other_idx
-                         ? other_pe
-                         : entities_[static_cast<std::size_t>(peer)]
-                               .pe;
-            c += w * geom_.latency(pe, q);
-        }
-        return c;
-    }
-
-    /**
-     * A closed, mesh-adjacent cell sequence of length @p K (even)
-     * or @p K with one distance-2 wrap (odd — a closed odd walk
-     * cannot exist on the bipartite grid): a 2-row ring, widened
-     * with 2-cell bumps into a third row when K exceeds the array
-     * width.  Returns empty when the shape does not fit.
-     */
-    std::vector<PeId>
-    ringCells(int K) const
-    {
-        const int rows = cc_.config.rows;
-        const int cols = cc_.config.cols;
-        if (K < 4)
-            return {};
-        int half = (K + 1) / 2;
-        int m = std::min(half, cols);
-        int extra = 2 * half - 2 * m; // cells still needed (even).
-        if (extra > 0 && (rows < 3 || extra / 2 > m - 1))
-            return {}; // would need deeper bumps; fall back.
-        int height = extra > 0 ? 3 : 2;
-        if (rows < height)
-            return {};
-        int r0 = std::max(0, std::min(rows - height,
-                                      rows / 2 - 1 + ringShiftR_));
-        int c0 = std::max(
-            0, std::min(cols - m, (cols - m) / 2 + ringShiftC_));
-        auto cell = [&](int r, int c) {
-            return static_cast<PeId>((r0 + r) * cols + c0 + c);
-        };
-        std::vector<PeId> ring;
-        for (int c = 0; c < m; ++c)
-            ring.push_back(cell(0, c));
-        int c = m - 1;
-        while (c >= 0) {
-            if (extra > 0 && c > 0) {
-                ring.push_back(cell(1, c));
-                ring.push_back(cell(2, c));
-                ring.push_back(cell(2, c - 1));
-                ring.push_back(cell(1, c - 1));
-                c -= 2;
-                extra -= 2;
-            } else {
-                ring.push_back(cell(1, c));
-                c -= 1;
-            }
-        }
-        // Ring order: take the first K cells; for odd K the wrap
-        // from cell K-1 back to cell 0 has distance 2.
-        ring.resize(static_cast<std::size_t>(K));
-        return ring;
-    }
-
-    /** Re-mark the fault plan's dead PEs as taken (after any full
-     *  clear of taken_). */
-    void
-    markDead()
-    {
-        for (std::size_t p = 0; p < deadPe_.size(); ++p)
-            if (deadPe_[p])
-                taken_[p] = true;
-    }
-
-    /** Back to the unplaced state (between search rounds). */
-    void
-    reset()
-    {
-        std::fill(taken_.begin(), taken_.end(), false);
-        markDead();
-        capableFree_ = cc_.config.nonlinearPes - deadCapable_;
-        nonlinearUnplaced_ = nonlinearTotal_;
-        for (Entity &e : entities_)
-            e.pe = invalidPe;
-        std::fill(ii_.begin(), ii_.end(), 0);
-        wire_ = 0;
-    }
-
-    /** Adopt a snapshot of entity positions. */
-    void
-    restore(const std::vector<PeId> &positions)
-    {
-        std::fill(taken_.begin(), taken_.end(), false);
-        markDead();
-        capableFree_ = cc_.config.nonlinearPes - deadCapable_;
-        for (std::size_t i = 0; i < entities_.size(); ++i) {
-            entities_[i].pe = positions[i];
-            taken_[static_cast<std::size_t>(positions[i])] = true;
-            if (positions[i] >= firstNonlinear_)
-                --capableFree_;
-        }
-        nonlinearUnplaced_ = 0;
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            ii_[p] = phaseII(static_cast<int>(p));
-        wire_ = fullWire();
-    }
-
-    void
-    greedySeed(const std::map<int, std::vector<int>>
-                   &override_chains,
-               bool use_ring = true)
-    {
-        const int rows = cc_.config.rows;
-        const int cols = cc_.config.cols;
-        const PeId center = static_cast<PeId>(
-            (rows / 2) * cols + cols / 2);
-
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p) {
-            // Critical-cycle nodes first, in dependence order: the
-            // worst carried cycle is laid out as a mesh-adjacent
-            // ring, putting it at its latency floor by
-            // construction; side chains attach around it and the
-            // local search polishes the rest.
-            std::vector<int> order;
-            std::set<int> enqueued;
-            std::vector<int> chain;
-            auto ov = override_chains.find(static_cast<int>(p));
-            if (ov != override_chains.end()) {
-                chain = ov->second;
-            } else {
-                int crit_consumer = -1, crit_fin = -1;
-                Cycles worst = 0;
-                // Positions unknown yet: rank cycles by stage
-                // count (latency-free proxy).
-                for (const ClosingPair &cp : closing_[p]) {
-                    std::map<int, std::int64_t> memo;
-                    std::int64_t k =
-                        stagesTo(cp.consumer, cp.fin, memo);
-                    if (k > 0 && static_cast<Cycles>(k) > worst) {
-                        worst = static_cast<Cycles>(k);
-                        crit_consumer = cp.consumer;
-                        crit_fin = cp.fin;
-                    }
-                }
-                if (crit_consumer >= 0)
-                    chain = longestChain(crit_consumer, crit_fin);
-            }
-            if (!chain.empty() && use_ring) {
-                std::vector<PeId> ring =
-                    ringCells(static_cast<int>(chain.size()));
-                // Claim sequentially, re-checking eligibility
-                // against the *evolving* state — the capable-PE
-                // holdback depends on what is already claimed, so
-                // a batch pre-check could overshoot the reserve
-                // and strand a later nonlinear node.  On any
-                // failure, unwind and fall back to greedy attach.
-                std::size_t claimed = 0;
-                bool ring_ok = ring.size() == chain.size();
-                for (; ring_ok && claimed < ring.size();
-                     ++claimed) {
-                    Entity &e = entities_[static_cast<std::size_t>(
-                        chain[claimed])];
-                    if (!eligible(e, ring[claimed])) {
-                        ring_ok = false;
-                        break;
-                    }
-                    claim(e, ring[claimed]);
-                }
-                if (!ring_ok) {
-                    while (claimed-- > 0) {
-                        Entity &e = entities_[
-                            static_cast<std::size_t>(
-                                chain[claimed])];
-                        taken_[static_cast<std::size_t>(e.pe)] =
-                            false;
-                        if (e.pe >= firstNonlinear_)
-                            ++capableFree_;
-                        if (e.nonlinear)
-                            ++nonlinearUnplaced_;
-                        e.pe = invalidPe;
-                    }
-                }
-                for (int idx : chain)
-                    if (enqueued.insert(idx).second)
-                        order.push_back(idx);
-            }
-            // The rest: either breadth-first over the netlist
-            // (clusters grow around the ring) or in dependence
-            // order (side chains lay out tight along it) — the
-            // two orders favour different kernels, so the search
-            // rounds alternate between them.
-            if (attachTopo_) {
-                if (enqueued.insert(genIdx_[p]).second)
-                    order.push_back(genIdx_[p]);
-                for (std::size_t i = 0; i < entities_.size(); ++i)
-                    if (entities_[i].phase ==
-                            static_cast<int>(p) &&
-                        enqueued.insert(static_cast<int>(i))
-                            .second)
-                        order.push_back(static_cast<int>(i));
-            } else {
-                std::queue<int> q;
-                for (int idx : order)
-                    q.push(idx);
-                if (enqueued.insert(genIdx_[p]).second) {
-                    q.push(genIdx_[p]);
-                    order.push_back(genIdx_[p]);
-                }
-                while (!q.empty()) {
-                    int at = q.front();
-                    q.pop();
-                    for (const auto &[peer, w] :
-                         entities_[static_cast<std::size_t>(at)]
-                             .adj) {
-                        (void)w;
-                        if (enqueued.insert(peer).second) {
-                            q.push(peer);
-                            order.push_back(peer);
-                        }
-                    }
-                }
-                // Disconnected stragglers still need PEs.
-                for (std::size_t i = 0; i < entities_.size(); ++i)
-                    if (entities_[i].phase ==
-                            static_cast<int>(p) &&
-                        !enqueued.count(static_cast<int>(i)))
-                        order.push_back(static_cast<int>(i));
-            }
-
-            for (int idx : order) {
-                Entity &e =
-                    entities_[static_cast<std::size_t>(idx)];
-                if (e.pe != invalidPe)
-                    continue;
-                PeId best = invalidPe;
-                std::uint64_t best_cost = 0;
-                for (PeId pe = 0; pe < cc_.config.numPes(); ++pe) {
-                    if (!eligible(e, pe))
-                        continue;
-                    // Attach next to placed neighbors (latency >= 1
-                    // keeps the sum nonzero when any are placed),
-                    // else stay central so the cluster can grow.
-                    std::uint64_t c = 0;
-                    for (const auto &[peer, w] : e.adj) {
-                        PeId q2 = entities_[static_cast<
-                                                std::size_t>(peer)]
-                                      .pe;
-                        if (q2 != invalidPe)
-                            c += w * geom_.latency(pe, q2);
-                    }
-                    if (c == 0)
-                        c = static_cast<std::uint64_t>(
-                            geom_.latency(pe, center));
-                    if (best == invalidPe || c < best_cost) {
-                        best = pe;
-                        best_cost = c;
-                    }
-                }
-                claim(e, best);
-            }
-        }
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            ii_[p] = phaseII(static_cast<int>(p));
-        wire_ = fullWire();
-    }
-
-    /** Stage count of the longest template path (position-free). */
-    std::int64_t
-    stagesTo(int at, int target,
-             std::map<int, std::int64_t> &memo) const
-    {
-        if (at == target)
-            return 1;
-        auto m = memo.find(at);
-        if (m != memo.end())
-            return m->second;
-        memo[at] = -1;
-        std::int64_t best = -1;
-        for (int next :
-             entities_[static_cast<std::size_t>(at)].tmplOut) {
-            std::int64_t tail = stagesTo(next, target, memo);
-            if (tail > 0)
-                best = std::max(best, tail + 1);
-        }
-        memo[at] = best;
-        return best;
-    }
-
-    /** The node sequence of the longest template path
-     *  @p from -> @p to (stage metric). */
-    std::vector<int>
-    longestChain(int from, int to) const
-    {
-        std::map<int, std::int64_t> memo;
-        stagesTo(from, to, memo);
-        std::vector<int> chain;
-        int at = from;
-        int guard = 0;
-        while (guard++ < 4096) {
-            chain.push_back(at);
-            if (at == to)
-                break;
-            int best_next = -1;
-            std::int64_t best = -1;
-            for (int next :
-                 entities_[static_cast<std::size_t>(at)].tmplOut) {
-                auto it = memo.find(next);
-                std::int64_t v =
-                    next == to ? 1
-                               : (it == memo.end() ? -1
-                                                   : it->second);
-                if (v > 0 && v > best) {
-                    best = v;
-                    best_next = next;
-                }
-            }
-            if (best_next < 0)
-                break;
-            at = best_next;
-        }
-        return chain;
-    }
-
-    void
-    improve(int round)
-    {
-        if (entities_.size() < 2)
-            return;
-        // Deterministic seed: the workload name and the search
-        // round (not time, not addresses) key the stream, so every
-        // compile of a kernel — any thread, any run — walks the
-        // same move sequences, while each round explores its own.
-        std::uint64_t seed = 0x9e3779b97f4a7c15ull +
-                             static_cast<std::uint64_t>(round) *
-                                 0xbf58476d1ce4e5b9ull;
-        for (char ch : cc_.workload.name())
-            seed = seed * 131 + static_cast<unsigned char>(ch);
-        Rng rng(seed);
-
-        std::vector<PeId> free_pes;
-        for (PeId pe = 0; pe < cc_.config.numPes(); ++pe)
-            if (!taken_[static_cast<std::size_t>(pe)])
-                free_pes.push_back(pe);
-
-        const int n = static_cast<int>(entities_.size());
-        const int budget = std::min(40000, std::max(6000, 120 * n));
-        int stale = 0;
-        for (int iter = 0; iter < budget && stale < 2500; ++iter) {
-            ++stale;
-            int ia = static_cast<int>(
-                rng.nextBounded(static_cast<std::uint64_t>(n)));
-            Entity &a = entities_[static_cast<std::size_t>(ia)];
-            bool relocate =
-                !free_pes.empty() && rng.nextBool(0.35);
-            if (relocate) {
-                std::size_t fi = static_cast<std::size_t>(
-                    rng.nextBounded(free_pes.size()));
-                PeId target = free_pes[fi];
-                if (a.nonlinear && target < firstNonlinear_)
-                    continue;
-                PeId from = a.pe;
-                std::uint64_t wire_before =
-                    incidentWire(ia, from, -1, invalidPe);
-                std::uint64_t wire_after =
-                    incidentWire(ia, target, -1, invalidPe);
-                Cycles ii_before = ii_[static_cast<std::size_t>(
-                    a.phase)];
-                a.pe = target;
-                Cycles ii_after = phaseII(a.phase);
-                std::uint64_t before = objective(
-                    iiSumWith(a.phase, ii_before), wire_);
-                std::uint64_t after = objective(
-                    iiSumWith(a.phase, ii_after),
-                    wire_ - wire_before + wire_after);
-                if (after >= before) {
-                    a.pe = from;
-                    continue;
-                }
-                taken_[static_cast<std::size_t>(from)] = false;
-                taken_[static_cast<std::size_t>(target)] = true;
-                if (from >= firstNonlinear_)
-                    ++capableFree_;
-                if (target >= firstNonlinear_)
-                    --capableFree_;
-                free_pes[fi] = from;
-                wire_ = wire_ - wire_before + wire_after;
-                ii_[static_cast<std::size_t>(a.phase)] = ii_after;
-                ++improvingMoves_;
-                stale = 0;
-                continue;
-            }
-            int ib = static_cast<int>(
-                rng.nextBounded(static_cast<std::uint64_t>(n)));
-            if (ia == ib)
-                continue;
-            Entity &b = entities_[static_cast<std::size_t>(ib)];
-            auto fits = [&](const Entity &e, PeId pe) {
-                return !e.nonlinear || pe >= firstNonlinear_;
-            };
-            if (!fits(a, b.pe) || !fits(b, a.pe))
-                continue;
-            std::uint64_t wire_before =
-                incidentWire(ia, a.pe, ib, b.pe) +
-                incidentWire(ib, b.pe, ia, a.pe);
-            std::uint64_t wire_after =
-                incidentWire(ia, b.pe, ib, a.pe) +
-                incidentWire(ib, a.pe, ia, b.pe);
-            Cycles iia_before =
-                ii_[static_cast<std::size_t>(a.phase)];
-            Cycles iib_before =
-                ii_[static_cast<std::size_t>(b.phase)];
-            std::swap(a.pe, b.pe);
-            Cycles iia_after = phaseII(a.phase);
-            Cycles iib_after = a.phase == b.phase
-                                   ? iia_after
-                                   : phaseII(b.phase);
-            std::uint64_t ii_sum_before = iiSum();
-            std::uint64_t ii_sum_after =
-                ii_sum_before -
-                (a.phase == b.phase
-                     ? static_cast<std::uint64_t>(iia_before)
-                     : static_cast<std::uint64_t>(iia_before) +
-                           iib_before) +
-                (a.phase == b.phase
-                     ? static_cast<std::uint64_t>(iia_after)
-                     : static_cast<std::uint64_t>(iia_after) +
-                           iib_after);
-            std::uint64_t before =
-                objective(ii_sum_before, wire_);
-            std::uint64_t after = objective(
-                ii_sum_after, wire_ - wire_before + wire_after);
-            if (after >= before) {
-                std::swap(a.pe, b.pe);
-                continue;
-            }
-            wire_ = wire_ - wire_before + wire_after;
-            ii_[static_cast<std::size_t>(a.phase)] = iia_after;
-            ii_[static_cast<std::size_t>(b.phase)] = iib_after;
-            ++improvingMoves_;
-            stale = 0;
-        }
-    }
-
-    /** The entities of @p phase's worst carried cycle under the
-     *  current positions (consumer .. final value, path order). */
-    std::vector<int>
-    criticalEntities(int phase) const
-    {
-        int best_fin = -1, best_consumer = -1;
-        std::int64_t worst = -1;
-        for (const ClosingPair &cp :
-             closing_[static_cast<std::size_t>(phase)]) {
-            std::map<int, std::int64_t> memo;
-            std::int64_t body = longestTo(cp.consumer, cp.fin, memo);
-            if (body < 0)
-                continue;
-            std::int64_t total =
-                body + static_cast<std::int64_t>(
-                           lat(cp.fin, cp.consumer));
-            if (total > worst) {
-                worst = total;
-                best_fin = cp.fin;
-                best_consumer = cp.consumer;
-            }
-        }
-        std::vector<int> chain;
-        if (best_fin < 0)
-            return chain;
-        std::map<int, std::int64_t> memo;
-        longestTo(best_consumer, best_fin, memo);
-        int at = best_consumer;
-        int guard = 0;
-        while (guard++ < 4096) {
-            chain.push_back(at);
-            if (at == best_fin)
-                break;
-            int best_next = -1;
-            std::int64_t best = -1;
-            for (int next :
-                 entities_[static_cast<std::size_t>(at)].tmplOut) {
-                std::int64_t tail =
-                    next == best_fin
-                        ? static_cast<std::int64_t>(exec_)
-                        : (memo.count(next) ? memo.at(next) : -1);
-                if (tail < 0)
-                    continue;
-                std::int64_t via =
-                    static_cast<std::int64_t>(exec_) +
-                    static_cast<std::int64_t>(lat(at, next)) +
-                    tail;
-                if (via > best) {
-                    best = via;
-                    best_next = next;
-                }
-            }
-            if (best_next < 0)
-                break;
-            at = best_next;
-        }
-        return chain;
-    }
-
-    /**
-     * Steepest-descent polish on the worst carried cycle: for each
-     * entity on it, evaluate every eligible relocation and every
-     * same-phase swap on the exact objective and apply the best
-     * improving move.  Random hill-climbing plateaus on long
-     * cycles (a single random move rarely shortens the max); the
-     * exhaustive neighborhood does not.
-     */
-    void
-    refineCritical()
-    {
-        const int n = static_cast<int>(entities_.size());
-        for (int sweep = 0; sweep < 12; ++sweep) {
-            bool improved = false;
-            for (std::size_t p = 0; p < cc_.phases.size(); ++p) {
-                std::vector<int> chain =
-                    criticalEntities(static_cast<int>(p));
-                for (int ia : chain) {
-                    Entity &a = entities_[
-                        static_cast<std::size_t>(ia)];
-                    std::uint64_t cur = objective(iiSum(), wire_);
-                    // Best relocation.
-                    int best_kind = 0; // 0 none, 1 reloc, 2 swap.
-                    PeId best_pe = invalidPe;
-                    int best_ib = -1;
-                    std::uint64_t best_obj = cur;
-                    PeId from = a.pe;
-                    for (PeId pe = 0; pe < cc_.config.numPes();
-                         ++pe) {
-                        if (taken_[static_cast<std::size_t>(pe)])
-                            continue;
-                        if (a.nonlinear &&
-                            pe < firstNonlinear_)
-                            continue;
-                        std::uint64_t wb = incidentWire(
-                            ia, from, -1, invalidPe);
-                        std::uint64_t wa = incidentWire(
-                            ia, pe, -1, invalidPe);
-                        a.pe = pe;
-                        std::uint64_t obj = objective(
-                            iiSumWith(a.phase,
-                                      phaseII(a.phase)),
-                            wire_ - wb + wa);
-                        a.pe = from;
-                        if (obj < best_obj) {
-                            best_obj = obj;
-                            best_kind = 1;
-                            best_pe = pe;
-                        }
-                    }
-                    // Best same-phase swap.
-                    for (int ib = 0; ib < n; ++ib) {
-                        if (ib == ia)
-                            continue;
-                        Entity &b = entities_[
-                            static_cast<std::size_t>(ib)];
-                        if (b.phase != a.phase)
-                            continue;
-                        auto fits = [&](const Entity &e,
-                                        PeId pe) {
-                            return !e.nonlinear ||
-                                   pe >= firstNonlinear_;
-                        };
-                        if (!fits(a, b.pe) || !fits(b, a.pe))
-                            continue;
-                        std::uint64_t wb =
-                            incidentWire(ia, a.pe, ib, b.pe) +
-                            incidentWire(ib, b.pe, ia, a.pe);
-                        std::uint64_t wa =
-                            incidentWire(ia, b.pe, ib, a.pe) +
-                            incidentWire(ib, a.pe, ia, b.pe);
-                        std::swap(a.pe, b.pe);
-                        std::uint64_t obj = objective(
-                            iiSumWith(a.phase,
-                                      phaseII(a.phase)),
-                            wire_ - wb + wa);
-                        std::swap(a.pe, b.pe);
-                        if (obj < best_obj) {
-                            best_obj = obj;
-                            best_kind = 2;
-                            best_ib = ib;
-                        }
-                    }
-                    if (best_kind == 1) {
-                        taken_[static_cast<std::size_t>(from)] =
-                            false;
-                        taken_[static_cast<std::size_t>(
-                            best_pe)] = true;
-                        if (from >= firstNonlinear_)
-                            ++capableFree_;
-                        if (best_pe >= firstNonlinear_)
-                            --capableFree_;
-                        std::uint64_t wb = incidentWire(
-                            ia, from, -1, invalidPe);
-                        a.pe = best_pe;
-                        std::uint64_t wa = incidentWire(
-                            ia, best_pe, -1, invalidPe);
-                        wire_ = wire_ - wb + wa;
-                        ii_[static_cast<std::size_t>(a.phase)] =
-                            phaseII(a.phase);
-                        improved = true;
-                        ++improvingMoves_;
-                    } else if (best_kind == 2) {
-                        Entity &b = entities_[
-                            static_cast<std::size_t>(best_ib)];
-                        std::uint64_t wb =
-                            incidentWire(ia, a.pe, best_ib,
-                                         b.pe) +
-                            incidentWire(best_ib, b.pe, ia,
-                                         a.pe);
-                        std::swap(a.pe, b.pe);
-                        std::uint64_t wa =
-                            incidentWire(ia, a.pe, best_ib,
-                                         b.pe) +
-                            incidentWire(best_ib, b.pe, ia,
-                                         a.pe);
-                        wire_ = wire_ - wb + wa;
-                        ii_[static_cast<std::size_t>(a.phase)] =
-                            phaseII(a.phase);
-                        improved = true;
-                        ++improvingMoves_;
-                    }
-                }
-            }
-            if (!improved)
-                break;
-        }
-    }
-
-    std::uint64_t
-    iiSum() const
-    {
-        std::uint64_t s = 0;
-        for (Cycles ii : ii_)
-            s += ii;
-        return s;
-    }
-
-    std::uint64_t
-    iiSumWith(int phase, Cycles value) const
-    {
-        std::uint64_t s = 0;
-        for (std::size_t p = 0; p < ii_.size(); ++p)
-            s += p == static_cast<std::size_t>(phase)
-                     ? static_cast<std::uint64_t>(value)
-                     : static_cast<std::uint64_t>(ii_[p]);
-        return s;
-    }
-
-    void
-    commit()
-    {
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            map_.phases[p].generator =
-                entities_[static_cast<std::size_t>(genIdx_[p])].pe;
-        for (const auto &[key, idx] : nodeIdx_)
-            map_.phases[static_cast<std::size_t>(key.first)]
-                .peOf[key.second] =
-                entities_[static_cast<std::size_t>(idx)].pe;
-        // Drain generators: control-network traffic only, so any
-        // free PE serves; take the lowest ids for determinism.
-        map_.drainPes.clear();
-        for (std::size_t p = 0; p + 1 < cc_.phases.size(); ++p) {
-            for (PeId pe = 0; pe < cc_.config.numPes(); ++pe) {
-                if (taken_[static_cast<std::size_t>(pe)])
-                    continue;
-                if (pe >= firstNonlinear_ &&
-                    capableFree_ <= nonlinearUnplaced_)
-                    continue;
-                taken_[static_cast<std::size_t>(pe)] = true;
-                if (pe >= firstNonlinear_)
-                    --capableFree_;
-                map_.drainPes.push_back(pe);
-                break;
-            }
-        }
-    }
-
-  public:
-    /** Snake fallback: if the legacy layout scores better on the
-     *  exact objective, keep it (the cost placer must never lose
-     *  to its own baseline on the model it optimizes). */
-    void
-    maybeFallBackToSnake(int nonlinear_total)
-    {
-        Mapping snake;
-        snake.placer = PlacerKind::Cost;
-        placeSnake(cc_, snake, nonlinear_total);
-        snake.phases.resize(cc_.phases.size());
-        for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-            snake.phases[p].edges = map_.phases[p].edges;
-
-        std::uint64_t cost_obj =
-            objective(iiSum(), wire_);
-        auto [snake_ii, snake_wire] = scoreMapping(snake);
-        std::uint64_t snake_obj =
-            objective(snake_ii, snake_wire);
-        if (snake_obj < cost_obj) {
-            for (std::size_t p = 0; p < cc_.phases.size(); ++p) {
-                map_.phases[p].generator =
-                    snake.phases[p].generator;
-                map_.phases[p].peOf = snake.phases[p].peOf;
-            }
-            map_.drainPes = snake.drainPes;
-            keptSnake_ = true;
-            // Refresh the reported metrics (entities already hold
-            // the snake positions from scoreMapping).
-            for (std::size_t p = 0; p < cc_.phases.size(); ++p)
-                ii_[p] = phaseII(static_cast<int>(p));
-            wire_ = snake_wire;
-        } else {
-            // scoreMapping moved entity positions; restore them
-            // from the committed mapping.
-            for (Entity &e : entities_) {
-                const PlacedPhase &placed = map_.phases[
-                    static_cast<std::size_t>(e.phase)];
-                e.pe = e.node == invalidNode
-                           ? placed.generator
-                           : placed.peOf.at(e.node);
-            }
-        }
-    }
-
-  private:
-    Compilation &cc_;
-    Mapping &map_;
-    MeshGeometry geom_;
-    Cycles exec_;
-    PeId firstNonlinear_;
-    std::vector<bool> taken_;
-    /** Dead flag per PE from the config's fault plan. */
-    std::vector<std::uint8_t> deadPe_;
-    /** How many of the nonlinear-capable PEs are dead. */
-    int deadCapable_ = 0;
-    int capableFree_;
-    int nonlinearTotal_;
-    int nonlinearUnplaced_;
-
-    /** Empty chain-override map (the plain greedy-attach round). */
-    static const std::map<int, std::vector<int>> kNoChains;
-
-    /** Ring anchor variation of the current search round. */
-    int ringShiftR_ = 0;
-    int ringShiftC_ = 0;
-    /** Attach the non-chain entities in dependence order instead
-     *  of breadth-first (per-round seed variation). */
-    bool attachTopo_ = false;
-
-    std::vector<Entity> entities_;
-    std::vector<int> genIdx_; ///< entity index per phase generator.
-    std::map<std::pair<int, NodeId>, int> nodeIdx_;
-    /** One closing carried edge (entity indices + channel slack). */
-    struct ClosingPair
-    {
-        int fin;
-        int consumer;
-        Cycles slack;
-    };
-    /** Closing carried edges per phase. */
-    std::vector<std::vector<ClosingPair>> closing_;
-    /** Feed-forward directed edges per phase, topo-sorted by
-     *  consumer (the skew DP's DAG; generator feeds included). */
-    std::vector<std::vector<std::pair<int, int>>> skewEdges_;
-    /** Scratch firing-time buffer for phaseSkew (avoids a per-
-     *  evaluation allocation on the hot move-evaluation path). */
-    mutable std::vector<std::int64_t> fireScratch_;
-    /** Cached per-phase timing scores (see phaseII). */
-    std::vector<std::uint64_t> ii_;
-    std::uint64_t wire_ = 0;
-    std::uint64_t recWeight_ = 8;
-    int improvingMoves_ = 0;
-    bool keptSnake_ = false;
-};
-
-const std::map<int, std::vector<int>> CostPlacer::kNoChains;
-
-} // namespace
 
 // ------------------------------------------------------------------
 // Pass 7: place
@@ -1688,22 +499,20 @@ passPlace(Compilation &cc)
              << config.numPes() << " PEs (" << nonlinear_needed
              << " nonlinear)";
     } else {
-        CostPlacer placer(cc, map, nonlinear_needed);
-        placer.run();
-        placer.maybeFallBackToSnake(nonlinear_needed);
-        map.cost = placer.wirelength();
+        const CostPlacement placed =
+            placeCost(cc, map, nonlinear_needed);
+        map.cost = placed.wirelength;
         note << "cost placer: " << pes_needed << "/"
              << config.numPes() << " PEs (" << nonlinear_needed
              << " nonlinear), recurrence II";
-        for (Cycles ii : placer.phaseIIs())
+        for (Cycles ii : placed.phaseIIs)
             note << " " << ii;
         note << " cycle(s), weighted wirelength "
-             << placer.wirelength() << ", "
-             << placer.improvingMoves() << " improving move(s)"
-             << (placer.keptSnake() ? ", kept the snake layout"
-                                    : "")
+             << placed.wirelength << ", " << placed.improvingMoves
+             << " improving move(s)"
+             << (placed.keptSnake ? ", kept the snake layout" : "")
              << " (recurrence tiebreak weight "
-             << placer.recurrenceWeight() << " per Fig. 8 plan)";
+             << placed.recurrenceWeight << " per Fig. 8 plan)";
     }
     cc.report.note(kPassPlace, note.str());
     return true;

@@ -81,14 +81,12 @@ struct CompileReport
     std::string failedPass;
     /** Empty on success; otherwise the reason. */
     std::string reason;
-    /** Analytic Marionette model cycles for this workload on this
-     *  fabric size (0 until the bind pass). */
-    double modelCycleEstimate = 0.0;
     /** Schedule-aware model cycles: derived from the placed-and-
      *  routed program's own trip counts, recurrence IIs and
-     *  predicted link loads (0 until the route pass).  Unlike
-     *  modelCycleEstimate this tracks what the backend actually
-     *  scheduled, so it lands within ~2x of the machine. */
+     *  predicted link loads (0 until the route pass).  Unlike the
+     *  structure-only analyticCycleEstimate (model/arch_model.h)
+     *  this tracks what the backend actually scheduled, so it
+     *  lands within ~2x of the machine. */
     double scheduledCycleEstimate = 0.0;
 
     bool ok() const { return failedPass.empty(); }

@@ -93,6 +93,16 @@ std::unique_ptr<ArchModel> makeDataflowPe(const ModelParams &p);
 std::unique_ptr<ArchModel> makeMarionette(const ModelParams &p,
                                           const Features &f);
 
+/**
+ * The analytic Marionette model's cycle estimate for @p workload on
+ * @p config's fabric (size, latencies and features): the structure-
+ * only cross-check anchor paper_eval reports as model_cycles.  It
+ * profiles the workload, which costs a full trace of its CDFG, so it
+ * is computed only where it is reported — never on the compile path.
+ */
+double analyticCycleEstimate(const Workload &workload,
+                             const MachineConfig &config);
+
 /** Softbrain (stream-dataflow, ISCA'17). */
 std::unique_ptr<ArchModel> makeSoftbrain(const ModelParams &p);
 

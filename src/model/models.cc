@@ -446,6 +446,22 @@ makeRevel(const ModelParams &p)
     return std::make_unique<GenericModel>("REVEL", p, s);
 }
 
+double
+analyticCycleEstimate(const Workload &workload,
+                      const MachineConfig &config)
+{
+    ModelParams params;
+    params.numPes = config.numPes();
+    params.configLat = static_cast<double>(config.configLatency);
+    params.execLat = static_cast<double>(config.executeLatency);
+    params.ctrlNetLat = static_cast<double>(config.controlNetLatency);
+    params.dataNetLat = static_cast<double>(config.dataNetLatency);
+    params.ccuRoundTrip = static_cast<double>(config.ccuRoundTrip);
+    return makeMarionette(params, config.features)
+        ->run(workload.profile())
+        .cycles;
+}
+
 std::unique_ptr<ArchModel>
 makeRiptide(const ModelParams &p)
 {

@@ -5,7 +5,6 @@
 #include <mutex>
 
 #include "compiler/program_cache.h"
-#include "model/schedule_model.h"
 #include "workloads/workload.h"
 
 namespace marionette
@@ -190,12 +189,9 @@ SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
                 }
                 out.compiled = true;
                 // Scheduled-cycle feedback: the route pass's own
-                // timing is the default predictor for a kernel it
-                // actually placed; the analytic model only covers
-                // compiles that never got that far.
-                out.modelEstimate = preferredCycleEstimate(
-                    compiled.report.scheduledCycleEstimate,
-                    compiled.report.modelCycleEstimate);
+                // timing predicts a kernel it actually placed.
+                out.modelEstimate =
+                    compiled.report.scheduledCycleEstimate;
 
                 const CompiledKernel &kernel = *compiled.kernel;
                 MarionetteMachine machine(job.config);

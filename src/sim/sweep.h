@@ -105,9 +105,8 @@ struct KernelSweepResult
     /** First mismatch description when !validated. */
     std::string validationError;
     /** Model cycle estimate: the route pass's scheduled-cycle
-     *  prediction when available, the analytic Marionette model
-     *  otherwise (model/schedule_model.h,
-     *  preferredCycleEstimate). */
+     *  prediction (CompileReport::scheduledCycleEstimate, see
+     *  model/schedule_model.h). */
     double modelEstimate = 0.0;
     /** Mesh traffic / stall profile of the run (hop and link-load
      *  statistics the mapped-cycles report prints). */

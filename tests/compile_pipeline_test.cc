@@ -18,6 +18,7 @@
 #include "arch/machine.h"
 #include "compiler/compiler.h"
 #include "compiler/program_cache.h"
+#include "model/arch_model.h"
 #include "sim/sweep.h"
 
 namespace marionette
@@ -91,13 +92,14 @@ TEST_P(CompilePipeline, BitExactOnTwoConfigs)
         // runs a reduced machine size (VI, HT, SCD — SCD's static
         // schedule is *smaller* than the profiled decode, so its
         // machine run undercuts the model) get a wider band.
-        ASSERT_GT(r.report.modelCycleEstimate, 0.0) << w.name();
+        const double model_cycles = analyticCycleEstimate(w, config);
+        ASSERT_GT(model_cycles, 0.0) << w.name();
         const std::set<std::string> wide_band = {"NW", "VI", "HT",
                                                  "LDPC", "SCD"};
         double lo = wide_band.count(w.name()) ? 0.05 : 0.5;
         double hi = wide_band.count(w.name()) ? 1024.0 : 64.0;
-        double ratio = static_cast<double>(run.cycles) /
-                       r.report.modelCycleEstimate;
+        double ratio =
+            static_cast<double>(run.cycles) / model_cycles;
         EXPECT_GT(ratio, lo) << w.name();
         EXPECT_LT(ratio, hi) << w.name();
     }
