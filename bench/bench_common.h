@@ -21,40 +21,6 @@ namespace marionette::bench
 {
 
 /** The model zoo every figure bench draws from. */
-struct ModelZoo
-{
-    ModelZoo()
-    {
-        Features base_f;
-        base_f.controlNetwork = false;
-        base_f.agileAssignment = false;
-        Features net_f = base_f;
-        net_f.controlNetwork = true;
-        Features full_f;
-
-        vonNeumann = makeVonNeumannPe(params);
-        dataflow = makeDataflowPe(params);
-        marionetteBase = makeMarionette(params, base_f);
-        marionetteNet = makeMarionette(params, net_f);
-        marionette = makeMarionette(params, full_f);
-        softbrain = makeSoftbrain(params);
-        tia = makeTia(params);
-        revel = makeRevel(params);
-        riptide = makeRiptide(params);
-    }
-
-    ModelParams params;
-    std::unique_ptr<ArchModel> vonNeumann;
-    std::unique_ptr<ArchModel> dataflow;
-    std::unique_ptr<ArchModel> marionetteBase; ///< proactive only.
-    std::unique_ptr<ArchModel> marionetteNet;  ///< + control net.
-    std::unique_ptr<ArchModel> marionette;     ///< + agile (full).
-    std::unique_ptr<ArchModel> softbrain;
-    std::unique_ptr<ArchModel> tia;
-    std::unique_ptr<ArchModel> revel;
-    std::unique_ptr<ArchModel> riptide;
-};
-
 inline ModelZoo &
 zoo()
 {

@@ -16,21 +16,10 @@ namespace marionette
 namespace
 {
 
-MachineConfig
-pipelineConfig()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
 void
 printMatrix()
 {
-    MachineConfig config = pipelineConfig();
+    MachineConfig config = evalFabric();
     Compiler compiler(config);
     std::printf("== Compiler pipeline: supported-workload matrix "
                 "(8x8, 512 KiB) ==\n");
@@ -55,7 +44,7 @@ BM_CompileKernel(benchmark::State &state)
 {
     const Workload *w = allWorkloads()[static_cast<std::size_t>(
         state.range(0))];
-    MachineConfig config = pipelineConfig();
+    MachineConfig config = evalFabric();
     Compiler compiler(config);
     for (auto _ : state) {
         CompileResult r = compiler.compile(*w);
@@ -69,7 +58,7 @@ BENCHMARK(BM_CompileKernel)->DenseRange(0, 12);
 void
 BM_ProgramCacheHit(benchmark::State &state)
 {
-    MachineConfig config = pipelineConfig();
+    MachineConfig config = evalFabric();
     ProgramCache cache;
     const Workload *w = findWorkload("CRC");
     cache.getOrCompile(*w, config); // prime.
@@ -84,7 +73,7 @@ BENCHMARK(BM_ProgramCacheHit);
 void
 BM_CompileRunValidate(benchmark::State &state)
 {
-    MachineConfig config = pipelineConfig();
+    MachineConfig config = evalFabric();
     ProgramCache cache;
     const Workload *w =
         findWorkload(state.range(0) == 0 ? "SI" : "CRC");

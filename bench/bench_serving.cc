@@ -24,8 +24,8 @@
  *
  * Every response is cross-validated against the kernel's goldens;
  * the ladder aborts if any response diverges.  Writes
- * BENCH_serving.json (leads with "schema_version" like every other
- * artifact of the shared report-writer convention).
+ * BENCH_serving.json through the report module (report/json.h),
+ * like every other artifact.
  *
  * This binary has a custom main (no google-benchmark harness): the
  * measured quantity is a whole closed system, not a microbenchmark
@@ -39,12 +39,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/marionette.h"
+#include "report/json.h"
 #include "serve/server.h"
 #include "sim/rng.h"
 
@@ -53,17 +53,6 @@ using namespace marionette::serve;
 
 namespace
 {
-
-MachineConfig
-primaryFabric()
-{
-    MachineConfig big;
-    big.rows = 10;
-    big.cols = 10;
-    big.scratchpadBytes = 512 * 1024;
-    big.instrMemBytes = 64 * 1024;
-    return big;
-}
 
 /** Strict integer parse: the whole string must be a number in
  *  [lo, hi] — garbage and out-of-range values are rejected. */
@@ -249,42 +238,6 @@ printRung(const RungResult &rung)
 }
 
 void
-writeRungJson(std::ofstream &out, const RungResult &rung,
-              bool last)
-{
-    out << "    {\n"
-        << "      \"name\": \"" << rung.name << "\",\n"
-        << "      \"requests\": " << rung.requests << ",\n"
-        << "      \"served\": " << rung.served << ",\n"
-        << "      \"failed\": " << rung.failed << ",\n"
-        << "      \"backpressured\": " << rung.backpressured
-        << ",\n"
-        << "      \"warm_starts\": " << rung.warmStarts << ",\n"
-        << "      \"bit_exact\": "
-        << (rung.bitExact ? "true" : "false") << ",\n"
-        << "      \"wall_seconds\": " << rung.wallSeconds << ",\n"
-        << "      \"wall_requests_per_sec\": " << rung.wallRps
-        << ",\n"
-        << "      \"latency_p50_ms\": " << rung.p50Millis << ",\n"
-        << "      \"latency_p99_ms\": " << rung.p99Millis << ",\n"
-        << "      \"makespan_cycles\": " << rung.makespanCycles
-        << ",\n"
-        << "      \"fabric_requests_per_sec\": " << rung.fabricRps
-        << ",\n"
-        << "      \"program_cache_hits\": " << rung.programHits
-        << ",\n"
-        << "      \"program_cache_misses\": " << rung.programMisses
-        << ",\n"
-        << "      \"snapshot_hits\": " << rung.snapshots.hits
-        << ",\n"
-        << "      \"snapshot_misses\": " << rung.snapshots.misses
-        << ",\n"
-        << "      \"snapshot_saved_micros\": "
-        << rung.snapshots.savedMicros << "\n"
-        << "    }" << (last ? "\n" : ",\n");
-}
-
-void
 usage()
 {
     std::printf(
@@ -347,7 +300,7 @@ main(int argc, char **argv)
     if (smoke)
         requests = 16;
 
-    const MachineConfig fabric = primaryFabric();
+    const MachineConfig fabric = evalFabric();
 
     // Mixed-size repeated-cell mix for the warm-start ladder: SI is
     // tiny (~2k cycles), CRC mid (~8.5k), ADPCM heavy on both the
@@ -442,31 +395,40 @@ main(int argc, char **argv)
         return pass ? 0 : 1;
     }
 
-    std::ofstream out(out_path);
-    if (!out) {
-        std::fprintf(stderr, "cannot write report '%s'\n",
-                     out_path.c_str());
+    report::Json::Array rung_rows;
+    for (const RungResult &rung : rungs)
+        rung_rows.push_back(
+            report::Json::object()
+                .set("name", rung.name)
+                .set("requests", rung.requests)
+                .set("served", rung.served)
+                .set("failed", rung.failed)
+                .set("backpressured", rung.backpressured)
+                .set("warm_starts", rung.warmStarts)
+                .set("bit_exact", rung.bitExact)
+                .set("wall_seconds", rung.wallSeconds)
+                .set("wall_requests_per_sec", rung.wallRps)
+                .set("latency_p50_ms", rung.p50Millis)
+                .set("latency_p99_ms", rung.p99Millis)
+                .set("makespan_cycles", rung.makespanCycles)
+                .set("fabric_requests_per_sec", rung.fabricRps)
+                .set("program_cache_hits", rung.programHits)
+                .set("program_cache_misses", rung.programMisses)
+                .set("snapshot_hits", rung.snapshots.hits)
+                .set("snapshot_misses", rung.snapshots.misses)
+                .set("snapshot_saved_micros",
+                     rung.snapshots.savedMicros));
+    if (!report::JsonWriter()
+             .set("artifact", "serving")
+             .set("shards", shards)
+             .set("queue_capacity", queue)
+             .set("seed", seed)
+             .set("rungs", std::move(rung_rows))
+             .set("snapshot_vs_cold_wall_rps_ratio", snapshot_vs_cold)
+             .set("cotenancy_fabric_throughput_ratio", cotenancy_ratio)
+             .set("all_bit_exact", all_exact)
+             .save(out_path, "serving"))
         return 1;
-    }
-    // Leads with schema_version per the shared report-writer
-    // convention (examples/paper_eval.cpp).
-    out << "{\n  \"schema_version\": 2,\n"
-        << "  \"artifact\": \"serving\",\n"
-        << "  \"shards\": " << shards << ",\n"
-        << "  \"queue_capacity\": " << queue << ",\n"
-        << "  \"seed\": " << seed << ",\n"
-        << "  \"rungs\": [\n";
-    for (std::size_t r = 0; r < rungs.size(); ++r)
-        writeRungJson(out, rungs[r], r + 1 == rungs.size());
-    out << "  ],\n"
-        << "  \"snapshot_vs_cold_wall_rps_ratio\": "
-        << snapshot_vs_cold << ",\n"
-        << "  \"cotenancy_fabric_throughput_ratio\": "
-        << cotenancy_ratio << ",\n"
-        << "  \"all_bit_exact\": "
-        << (all_exact ? "true" : "false") << "\n}\n";
-    out.close();
-    std::printf("wrote serving report: %s\n", out_path.c_str());
 
     return (all_exact && total_failed == 0) ? 0 : 1;
 }

@@ -66,27 +66,33 @@
  *                  or the latency tail blows out — CI's serving
  *                  smoke gate.
  *
- * Every JSON artifact opens with a "schema_version" field (see
- * kReportSchemaVersion) so downstream consumers can detect shape
- * changes.
+ * Every JSON artifact is written, and the coverage expectation
+ * read, through the report module (report/json.h): each report
+ * opens with "schema_version" (report::kSchemaVersion) so
+ * downstream consumers can detect shape changes, and the reader
+ * rejects anything it cannot parse whole.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <map>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "compiler/program_cache.h"
 #include "core/marionette.h"
+#include "report/json.h"
 #include "serve/server.h"
 
 using namespace marionette;
+using report::Json;
+using report::JsonError;
+using report::JsonWriter;
 
 namespace
 {
@@ -99,10 +105,9 @@ struct Options
     std::string reportPath;
     std::string checkCoveragePath;
     std::string mappedReportPath;
-    PlacerKind placer = PlacerKind::Cost;
-    /** Unroll cap forwarded to CompilerOptions::unrollFactor
-     *  (0 = automatic, 1 = replication off). */
-    int unrollFactor = 0;
+    /** --placer and --unroll (the unroll cap: 0 = automatic,
+     *  1 = replication off) for every compile. */
+    CompilerOptions compile;
     /** Unroll-factor ablation mode: compile GEMM/LDPC at a ladder
      *  of caps and write the table to this path. */
     std::string unrollAblationPath;
@@ -218,7 +223,7 @@ parseArgs(int argc, char **argv, Options &opts)
                 return usageError("bad --unroll value (want "
                                   "0..1024; 0 = automatic)",
                                   arg + 9);
-            opts.unrollFactor = static_cast<int>(factor);
+            opts.compile.unrollFactor = static_cast<int>(factor);
         } else if (std::strncmp(arg, "--unroll-ablation=", 18) ==
                    0) {
             if (arg[18] == '\0')
@@ -226,7 +231,7 @@ parseArgs(int argc, char **argv, Options &opts)
                                   nullptr);
             opts.unrollAblationPath = arg + 18;
         } else if (std::strncmp(arg, "--placer=", 9) == 0) {
-            if (!parsePlacerName(arg + 9, opts.placer))
+            if (!parsePlacerName(arg + 9, opts.compile.placer))
                 return usageError("unknown placer (snake|cost)",
                                   arg + 9);
         } else if (std::strncmp(arg, "--fast-forward=", 15) == 0) {
@@ -317,40 +322,17 @@ struct KernelCoverage
 /** Compile the selected kernels on two fabrics through the shared
  *  program cache and run them on the cycle-accurate machine.
  *  Returns the per-kernel coverage on the primary fabric. */
-MachineConfig
-primaryFabric()
-{
-    MachineConfig big;
-    big.rows = 10;
-    big.cols = 10;
-    big.scratchpadBytes = 512 * 1024;
-    big.instrMemBytes = 64 * 1024;
-    return big;
-}
-
-MachineConfig
-slowMeshFabric()
-{
-    MachineConfig alt = primaryFabric();
-    alt.meshHopLatency = 2;
-    alt.dataNetLatency = 12;
-    alt.scratchpadBanks = 8;
-    return alt;
-}
-
 std::vector<KernelCoverage>
 machineValidation(const Options &opts, const SweepRunner &runner)
 {
-    MachineConfig big = primaryFabric();
-    MachineConfig alt = slowMeshFabric();
+    MachineConfig big = evalFabric();
+    MachineConfig alt = slowMeshEvalFabric();
     if (opts.fastForward >= 0) {
         big.fastForward = opts.fastForward != 0;
         alt.fastForward = opts.fastForward != 0;
     }
 
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
+    const CompilerOptions &copts = opts.compile;
     std::vector<KernelSweepJob> jobs;
     std::vector<std::string> labels;
     for (const Workload *w : allWorkloads()) {
@@ -368,7 +350,7 @@ machineValidation(const Options &opts, const SweepRunner &runner)
 
     std::printf("\n== Compiler pipeline: Table-5 kernels on the "
                 "cycle-accurate machine (%s placer) ==\n",
-                std::string(placerName(opts.placer)).c_str());
+                std::string(placerName(opts.compile.placer)).c_str());
     std::printf("  %-6s %-5s %10s %10s %6s %8s  %s\n", "kernel",
                 "cfg", "cycles", "model", "hops", "maxlink",
                 "result");
@@ -442,16 +424,14 @@ machineValidation(const Options &opts, const SweepRunner &runner)
 bool
 fastForwardSmoke(const Options &opts, const SweepRunner &runner)
 {
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
+    const CompilerOptions &copts = opts.compile;
     std::vector<KernelSweepJob> jobs;
     std::vector<std::string> labels;
     for (const Workload *w : allWorkloads()) {
         if (!selected(opts, w->name()))
             continue;
         for (bool ff : {false, true}) {
-            MachineConfig config = primaryFabric();
+            MachineConfig config = evalFabric();
             config.fastForward = ff;
             jobs.push_back(KernelSweepJob{w, config, 0, copts});
         }
@@ -507,16 +487,14 @@ fastForwardSmoke(const Options &opts, const SweepRunner &runner)
 void
 snapshotStatsRun(const Options &opts, const SweepRunner &runner)
 {
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
+    const CompilerOptions &copts = opts.compile;
     std::vector<KernelSweepJob> jobs;
     for (int rep = 0; rep < 2; ++rep)
         for (const Workload *w : allWorkloads()) {
             if (!selected(opts, w->name()))
                 continue;
             jobs.push_back(
-                KernelSweepJob{w, primaryFabric(), 0, copts});
+                KernelSweepJob{w, evalFabric(), 0, copts});
         }
 
     ProgramCache cache;
@@ -549,15 +527,10 @@ struct MappedCell
 {
     std::string kernel;
     std::string fabric;
-    bool compiled = false;
-    std::uint64_t snakeCycles = 0;
-    std::uint64_t costCycles = 0;
-    bool snakeValidated = false;
-    bool costValidated = false;
-    double snakeMeanHops = 0.0;
-    double costMeanHops = 0.0;
-    std::uint64_t snakeMaxLinkLoad = 0;
-    std::uint64_t costMaxLinkLoad = 0;
+    KernelSweepResult snake;
+    KernelSweepResult cost;
+
+    bool compiled() const { return snake.compiled && cost.compiled; }
 };
 
 /**
@@ -573,8 +546,8 @@ struct MappedCell
 std::vector<MappedCell>
 mappedCyclesAb(const Options &opts, const SweepRunner &runner)
 {
-    const MachineConfig fabrics[] = {primaryFabric(),
-                                     slowMeshFabric()};
+    const MachineConfig fabrics[] = {evalFabric(),
+                                     slowMeshEvalFabric()};
     const char *fabric_names[] = {"10x10", "10x10s"};
 
     std::vector<KernelSweepJob> jobs;
@@ -583,15 +556,11 @@ mappedCyclesAb(const Options &opts, const SweepRunner &runner)
         if (!selected(opts, w->name()))
             continue;
         for (int f = 0; f < 2; ++f) {
-            MappedCell cell;
-            cell.kernel = w->name();
-            cell.fabric = fabric_names[f];
-            cells.push_back(cell);
+            cells.push_back({w->name(), fabric_names[f], {}, {}});
             for (PlacerKind placer :
                  {PlacerKind::Snake, PlacerKind::Cost}) {
-                CompilerOptions copts;
+                CompilerOptions copts = opts.compile;
                 copts.placer = placer;
-                copts.unrollFactor = opts.unrollFactor;
                 jobs.push_back(
                     KernelSweepJob{w, fabrics[f], 0, copts});
             }
@@ -602,61 +571,13 @@ mappedCyclesAb(const Options &opts, const SweepRunner &runner)
     std::vector<KernelSweepResult> results =
         runner.runKernels(jobs, cache);
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const KernelSweepResult &snake = results[2 * i];
-        const KernelSweepResult &cost = results[2 * i + 1];
-        MappedCell &cell = cells[i];
-        cell.compiled = snake.compiled && cost.compiled;
-        if (!cell.compiled)
-            continue;
-        cell.snakeCycles = snake.run.cycles;
-        cell.costCycles = cost.run.cycles;
-        cell.snakeValidated = snake.validated;
-        cell.costValidated = cost.validated;
-        cell.snakeMeanHops = snake.congestion.meanHops;
-        cell.costMeanHops = cost.congestion.meanHops;
-        cell.snakeMaxLinkLoad = snake.congestion.maxLinkLoad;
-        cell.costMaxLinkLoad = cost.congestion.maxLinkLoad;
+        cells[i].snake = std::move(results[2 * i]);
+        cells[i].cost = std::move(results[2 * i + 1]);
     }
     return cells;
 }
 
-/**
- * Shared machine-readable report writer.  Every JSON artifact
- * paper_eval emits (compile coverage, mapped cycles, unroll
- * ablation, fault resilience) opens through openReport so they all
- * lead with the same "schema_version" field, and closes through
- * closeReport for the uniform confirmation line.  The serving
- * ladder's BENCH_serving.json (bench/bench_serving.cc) follows the
- * same leading-field convention from its own writer.  Bump the
- * version when an existing field changes meaning — added fields are
- * not a version bump.
- */
-constexpr int kReportSchemaVersion = 2;
-
 bool
-openReport(std::ofstream &out, const std::string &path,
-           const char *kind)
-{
-    out.open(path);
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s report '%s'\n", kind,
-                     path.c_str());
-        return false;
-    }
-    out << "{\n  \"schema_version\": " << kReportSchemaVersion
-        << ",\n";
-    return true;
-}
-
-void
-closeReport(std::ofstream &out, const std::string &path,
-            const char *kind)
-{
-    out << "}\n";
-    std::printf("wrote %s report: %s\n", kind, path.c_str());
-}
-
-void
 writeMappedReport(const std::string &path,
                   const std::vector<MappedCell> &cells)
 {
@@ -666,67 +587,61 @@ writeMappedReport(const std::string &path,
     int points = 0;
     std::uint64_t snake_total = 0, cost_total = 0;
     for (const MappedCell &c : cells) {
-        if (!c.compiled || !aggregate_kernels.count(c.kernel))
+        if (!c.compiled() || !aggregate_kernels.count(c.kernel))
             continue;
-        snake_total += c.snakeCycles;
-        cost_total += c.costCycles;
+        snake_total += c.snake.run.cycles;
+        cost_total += c.cost.run.cycles;
         log_speedup_sum +=
-            std::log(static_cast<double>(c.snakeCycles) /
-                     static_cast<double>(c.costCycles));
+            std::log(static_cast<double>(c.snake.run.cycles) /
+                     static_cast<double>(c.cost.run.cycles));
         ++points;
     }
     double geomean =
         points > 0 ? std::exp(log_speedup_sum / points) : 1.0;
+    double sum_reduction =
+        snake_total > 0
+            ? 100.0 * (1.0 - static_cast<double>(cost_total) /
+                                 static_cast<double>(snake_total))
+            : 0.0;
 
-    std::ofstream out;
-    if (!openReport(out, path, "mapped-cycles"))
-        return;
-    out << "  \"baseline\": \"snake (legacy backend: "
-           "boustrophedon placement + legacy drain bounds)\",\n"
-           "  \"cells\": [\n";
-    bool first = true;
+    Json::Array rows;
     for (const MappedCell &c : cells) {
-        if (!c.compiled)
+        if (!c.compiled())
             continue;
-        if (!first)
-            out << ",\n";
-        first = false;
-        out << "    {\"kernel\": \"" << c.kernel
-            << "\", \"fabric\": \"" << c.fabric
-            << "\", \"snake_cycles\": " << c.snakeCycles
-            << ", \"cost_cycles\": " << c.costCycles
-            << ", \"speedup\": "
-            << static_cast<double>(c.snakeCycles) /
-                   static_cast<double>(c.costCycles)
-            << ", \"snake_mean_hops\": " << c.snakeMeanHops
-            << ", \"cost_mean_hops\": " << c.costMeanHops
-            << ", \"snake_max_link_load\": " << c.snakeMaxLinkLoad
-            << ", \"cost_max_link_load\": " << c.costMaxLinkLoad
-            << ", \"validated\": "
-            << (c.snakeValidated && c.costValidated ? "true"
-                                                    : "false")
-            << "}";
+        rows.push_back(
+            Json::object()
+                .set("kernel", c.kernel)
+                .set("fabric", c.fabric)
+                .set("snake_cycles", c.snake.run.cycles)
+                .set("cost_cycles", c.cost.run.cycles)
+                .set("speedup",
+                     static_cast<double>(c.snake.run.cycles) /
+                         static_cast<double>(c.cost.run.cycles))
+                .set("snake_mean_hops", c.snake.congestion.meanHops)
+                .set("cost_mean_hops", c.cost.congestion.meanHops)
+                .set("snake_max_link_load",
+                     c.snake.congestion.maxLinkLoad)
+                .set("cost_max_link_load", c.cost.congestion.maxLinkLoad)
+                .set("validated", c.snake.validated && c.cost.validated));
     }
-    out << "\n";
-    out << "  ],\n  \"aggregate\": {\n"
-        << "    \"kernels\": [\"NW\", \"LDPC\", \"GEMM\"],\n"
-        << "    \"metric\": \"geomean speedup over the (kernel, "
-           "fabric) points\",\n"
-        << "    \"points\": " << points << ",\n"
-        << "    \"snake_cycles_total\": " << snake_total << ",\n"
-        << "    \"cost_cycles_total\": " << cost_total << ",\n"
-        << "    \"sum_reduction_pct\": "
-        << (snake_total > 0
-                ? 100.0 * (1.0 - static_cast<double>(cost_total) /
-                                     static_cast<double>(
-                                         snake_total))
-                : 0.0)
-        << ",\n"
-        << "    \"geomean_speedup\": " << geomean << ",\n"
-        << "    \"aggregate_reduction_pct\": "
-        << 100.0 * (1.0 - 1.0 / geomean) << "\n  }\n";
+    Json aggregate = Json::object();
+    aggregate.set("kernels", Json::Array{"NW", "LDPC", "GEMM"})
+        .set("metric", "geomean speedup over the (kernel, fabric) "
+                       "points")
+        .set("points", points)
+        .set("snake_cycles_total", snake_total)
+        .set("cost_cycles_total", cost_total)
+        .set("sum_reduction_pct", sum_reduction)
+        .set("geomean_speedup", geomean)
+        .set("aggregate_reduction_pct", 100.0 * (1.0 - 1.0 / geomean));
     std::printf("\n");
-    closeReport(out, path, "mapped-cycles");
+    const bool saved =
+        JsonWriter()
+            .set("baseline", "snake (legacy backend: boustrophedon "
+                             "placement + legacy drain bounds)")
+            .set("cells", std::move(rows))
+            .set("aggregate", std::move(aggregate))
+            .save(path, "mapped-cycles");
     std::printf("placement A/B aggregate (NW+LDPC+GEMM, both "
                 "fabrics): geomean speedup %.3fx "
                 "(%.1f%% cycle reduction; cycle sums %llu -> "
@@ -734,36 +649,16 @@ writeMappedReport(const std::string &path,
                 geomean, 100.0 * (1.0 - 1.0 / geomean),
                 static_cast<unsigned long long>(snake_total),
                 static_cast<unsigned long long>(cost_total),
-                snake_total > 0
-                    ? 100.0 * (1.0 -
-                               static_cast<double>(cost_total) /
-                                   static_cast<double>(
-                                       snake_total))
-                    : 0.0);
+                sum_reduction);
+    return saved;
 }
 
-std::string
-jsonEscape(const std::string &s)
+bool
+writeCoverageReport(const std::string &path,
+                    const std::vector<KernelCoverage> &coverage)
 {
-    std::string out;
-    for (char ch : s) {
-        if (ch == '"' || ch == '\\')
-            out += '\\';
-        out += ch;
-    }
-    return out;
-}
-
-void
-writeReport(const std::string &path,
-            const std::vector<KernelCoverage> &coverage)
-{
-    std::ofstream out;
-    if (!openReport(out, path, "compile-coverage"))
-        return;
-    out << "  \"fabric\": \"10x10\",\n  \"kernels\": [\n";
-    for (std::size_t i = 0; i < coverage.size(); ++i) {
-        const KernelCoverage &c = coverage[i];
+    Json::Array kernels;
+    for (const KernelCoverage &c : coverage) {
         // mapped / scheduled: how tight the schedule-aware model
         // tracks the machine (1.0 = exact; the tentpole bar is
         // "within ~2x").
@@ -771,95 +666,107 @@ writeReport(const std::string &path,
                            ? static_cast<double>(c.cycles) /
                                  c.scheduledCycles
                            : 0.0;
-        out << "    {\"kernel\": \"" << c.kernel
-            << "\", \"compiled\": "
-            << (c.compiled ? "true" : "false")
-            << ", \"failed_pass\": \""
-            << jsonEscape(c.failedPass) << "\", \"reason\": \""
-            << jsonEscape(c.reason)
-            << "\", \"validated\": "
-            << (c.validated ? "true" : "false")
-            << ", \"cycles\": " << c.cycles
-            << ", \"model_cycles\": "
-            << static_cast<std::uint64_t>(c.modelCycles)
-            << ", \"scheduled_cycles\": "
-            << static_cast<std::uint64_t>(c.scheduledCycles)
-            << ", \"mapped_to_scheduled_ratio\": " << ratio
-            << ", \"compile_us\": " << c.compileMicros << "}"
-            << (i + 1 < coverage.size() ? "," : "") << "\n";
+        kernels.push_back(
+            Json::object()
+                .set("kernel", c.kernel)
+                .set("compiled", c.compiled)
+                .set("failed_pass", c.failedPass)
+                .set("reason", c.reason)
+                .set("validated", c.validated)
+                .set("cycles", c.cycles)
+                .set("model_cycles",
+                     static_cast<std::uint64_t>(c.modelCycles))
+                .set("scheduled_cycles",
+                     static_cast<std::uint64_t>(c.scheduledCycles))
+                .set("mapped_to_scheduled_ratio", ratio)
+                .set("compile_us", c.compileMicros));
     }
-    out << "  ]\n";
     std::printf("\n");
-    closeReport(out, path, "compile-coverage");
+    return JsonWriter()
+        .set("fabric", "10x10")
+        .set("kernels", std::move(kernels))
+        .save(path, "compile-coverage");
 }
 
-/** Minimal field scan over one JSON object body. */
-std::string
-extractString(const std::string &obj, const std::string &key)
+/** One kernel's entry in the coverage expectation. */
+struct ExpectedKernel
 {
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return {};
-    at = obj.find(':', at);
-    at = obj.find('"', at);
-    if (at == std::string::npos)
-        return {};
-    std::size_t end = obj.find('"', at + 1);
-    return obj.substr(at + 1, end - at - 1);
-}
+    bool compiled = false;
+    std::string failedPass;
+    /** The band anchors of a compiled kernel; 0 when the entry
+     *  lacks a positive number (already reported as an error). */
+    double cycles = 0.0;
+    double ratio = 0.0;
+};
 
-bool
-extractBool(const std::string &obj, const std::string &key)
-{
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    return obj.find("true", at) <
-           std::min(obj.find(',', at), obj.find('}', at));
-}
-
-/** Numeric field scan: false when @p key is absent or its value
- *  is not a number, so a gate reading it can fail closed. */
-bool
-extractNumber(const std::string &obj, const std::string &key,
-              double &out)
-{
-    std::size_t at = obj.find("\"" + key + "\"");
-    if (at == std::string::npos)
-        return false;
-    at = obj.find(':', at);
-    if (at == std::string::npos)
-        return false;
-    const char *begin = obj.c_str() + at + 1;
-    char *end = nullptr;
-    out = std::strtod(begin, &end);
-    return end != begin;
-}
-
-/** Diff (kernel, compiled, failed_pass) against the expectation
- *  file; returns false (and prints every difference) on mismatch. */
+/** Diff (kernel, compiled, failed_pass, cycles, mapped/scheduled
+ *  ratio) against the expectation file in both directions; returns
+ *  false (and prints every difference) on mismatch. */
 bool
 checkCoverage(const std::string &path,
               const std::vector<KernelCoverage> &coverage)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr,
-                     "cannot read expected coverage '%s'\n",
-                     path.c_str());
+    // The expectation is read strictly: it must parse whole, carry
+    // the current schema version, and give every kernel a string
+    // "kernel", a bool "compiled" and a string "failed_pass".
+    // Anything else is an error naming the problem, never a
+    // silently skipped check.
+    bool ok = true;
+    std::map<std::string, ExpectedKernel> expected;
+    try {
+        const Json doc = report::parseJsonFile(path);
+        const std::int64_t version =
+            doc.get<std::int64_t>("schema_version");
+        if (version != report::kSchemaVersion)
+            throw JsonError(
+                "schema_version is " + std::to_string(version) +
+                ", expected " +
+                std::to_string(report::kSchemaVersion));
+        const Json::Array &kernels = doc.get<Json::Array>("kernels");
+        for (std::size_t i = 0; i < kernels.size(); ++i) {
+            const Json &entry = kernels[i];
+            std::string name;
+            ExpectedKernel want;
+            try {
+                name = entry.get<std::string>("kernel");
+                want.compiled = entry.get<bool>("compiled");
+                want.failedPass = entry.get<std::string>("failed_pass");
+            } catch (const JsonError &e) {
+                throw JsonError("kernels[" + std::to_string(i) +
+                                "]: " + e.what());
+            }
+            // Both bands fail closed: an expectation for a compiled
+            // kernel that lacks either number (or holds a
+            // non-number) is an error.
+            auto positive = [&](const char *key) {
+                const Json *v = entry.find(key);
+                if (v != nullptr && v->isNumber() &&
+                    v->asNumber() > 0.0)
+                    return v->asNumber();
+                std::fprintf(stderr,
+                             "coverage check: %s expectation has no "
+                             "positive numeric \"%s\"\n",
+                             name.c_str(), key);
+                ok = false;
+                return 0.0;
+            };
+            if (want.compiled) {
+                want.cycles = positive("cycles");
+                want.ratio = positive("mapped_to_scheduled_ratio");
+            }
+            if (!expected.emplace(name, want).second)
+                throw JsonError("kernel " + name + " is listed twice");
+        }
+    } catch (const JsonError &e) {
+        std::fprintf(stderr, "coverage check: %s: %s\n", path.c_str(),
+                     e.what());
         return false;
     }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    const std::string all = buf.str();
 
-    bool ok = true;
     int checked = 0;
     for (const KernelCoverage &c : coverage) {
-        // Find this kernel's object.
-        std::size_t at =
-            all.find("\"kernel\": \"" + c.kernel + "\"");
-        if (at == std::string::npos) {
+        auto it = expected.find(c.kernel);
+        if (it == expected.end()) {
             std::fprintf(stderr,
                          "coverage check: kernel %s missing from "
                          "%s\n",
@@ -867,24 +774,20 @@ checkCoverage(const std::string &path,
             ok = false;
             continue;
         }
-        std::size_t end = all.find('}', at);
-        std::string obj = all.substr(at, end - at + 1);
-        bool want_compiled = extractBool(obj, "compiled");
-        std::string want_pass = extractString(obj, "failed_pass");
-        if (want_compiled != c.compiled) {
+        const ExpectedKernel &want = it->second;
+        if (want.compiled != c.compiled) {
             std::fprintf(stderr,
                          "coverage check: %s %s, expected to %s\n",
                          c.kernel.c_str(),
                          c.compiled ? "compiles" : "is rejected",
-                         want_compiled ? "compile"
-                                       : "be rejected");
+                         want.compiled ? "compile" : "be rejected");
             ok = false;
-        } else if (!c.compiled && want_pass != c.failedPass) {
+        } else if (!c.compiled && want.failedPass != c.failedPass) {
             std::fprintf(stderr,
                          "coverage check: %s rejected by '%s', "
                          "expected '%s'\n",
                          c.kernel.c_str(), c.failedPass.c_str(),
-                         want_pass.c_str());
+                         want.failedPass.c_str());
             ok = false;
         }
         if (c.compiled && !c.validated) {
@@ -901,30 +804,11 @@ checkCoverage(const std::string &path,
         // timing regression blows through it).  The run is fully
         // deterministic, so the band can be tight.
         constexpr double kCycleTolerance = 0.05;
-        // Both bands fail closed: an expectation for a compiled
-        // kernel that lacks either number (or holds a non-number)
-        // is an error, never a silently skipped check.
-        auto require = [&](const char *key, double &out) {
-            if (extractNumber(obj, key, out) && out > 0.0)
-                return;
-            std::fprintf(stderr,
-                         "coverage check: %s expectation has no "
-                         "positive numeric \"%s\"\n",
-                         c.kernel.c_str(), key);
-            ok = false;
-            out = 0.0;
-        };
-        double want_cycles = 0.0;
-        double want_ratio = 0.0;
-        if (want_compiled) {
-            require("cycles", want_cycles);
-            require("mapped_to_scheduled_ratio", want_ratio);
-        }
-        if (c.compiled && want_compiled && want_cycles > 0.0) {
+        if (c.compiled && want.compiled && want.cycles > 0.0) {
             double rel =
                 std::fabs(static_cast<double>(c.cycles) -
-                          want_cycles) /
-                want_cycles;
+                          want.cycles) /
+                want.cycles;
             if (rel > kCycleTolerance) {
                 std::fprintf(
                     stderr,
@@ -932,7 +816,7 @@ checkCoverage(const std::string &path,
                     "expected %.0f (+/-%.0f%%)\n",
                     c.kernel.c_str(),
                     static_cast<unsigned long long>(c.cycles),
-                    want_cycles, 100.0 * kCycleTolerance);
+                    want.cycles, 100.0 * kCycleTolerance);
                 ok = false;
             }
         }
@@ -950,17 +834,17 @@ checkCoverage(const std::string &path,
                          "scheduled-cycle estimate\n",
                          c.kernel.c_str());
             ok = false;
-        } else if (c.compiled && want_compiled && want_ratio > 0.0) {
+        } else if (c.compiled && want.compiled && want.ratio > 0.0) {
             double ratio = static_cast<double>(c.cycles) /
                            c.scheduledCycles;
-            double drift = std::fabs(ratio - want_ratio);
-            if (drift > 0.10 && drift > 0.10 * want_ratio) {
+            double drift = std::fabs(ratio - want.ratio);
+            if (drift > 0.10 && drift > 0.10 * want.ratio) {
                 std::fprintf(
                     stderr,
                     "coverage check: %s mapped/scheduled ratio "
                     "%.3f drifted from expected %.3f (band: 0.10 "
                     "absolute or 10%% relative)\n",
-                    c.kernel.c_str(), ratio, want_ratio);
+                    c.kernel.c_str(), ratio, want.ratio);
                 ok = false;
             }
         }
@@ -970,16 +854,11 @@ checkCoverage(const std::string &path,
     // Reverse direction: every kernel in the expectation must be
     // present in the current run, or dropping a registered
     // workload would pass unnoticed.
-    std::size_t at = 0;
-    while ((at = all.find("\"kernel\": \"", at)) !=
-           std::string::npos) {
-        at += 11;
-        std::size_t end = all.find('"', at);
-        std::string name = all.substr(at, end - at);
-        bool present = false;
-        for (const KernelCoverage &c : coverage)
-            present = present || c.kernel == name;
-        if (!present) {
+    for (const auto &[name, want] : expected) {
+        if (std::none_of(coverage.begin(), coverage.end(),
+                         [&](const KernelCoverage &c) {
+                             return c.kernel == name;
+                         })) {
             std::fprintf(stderr,
                          "coverage check: expected kernel %s is "
                          "missing from this run\n",
@@ -1027,36 +906,19 @@ chosenUnrollFactor(const CompileReport &report)
 int
 runUnrollAblation(const Options &opts, const SweepRunner &runner)
 {
-    const MachineConfig fabric = primaryFabric();
+    const MachineConfig fabric = evalFabric();
     // 0 = automatic comes last so the table reads cap-then-auto.
     const int caps[] = {1, 2, 4, 8, 16, 0};
 
-    struct AblationCell
-    {
-        std::string kernel;
-        int requestedFactor = 0;
-        int chosenFactor = 1;
-        bool compiled = false;
-        bool validated = false;
-        std::uint64_t cycles = 0;
-        double scheduledCycles = 0.0;
-    };
-
     std::vector<KernelSweepJob> jobs;
-    std::vector<AblationCell> cells;
     for (const char *name : {"GEMM", "LDPC"}) {
         const Workload *w = findWorkload(name);
         if (w == nullptr || !selected(opts, w->name()))
             continue;
         for (int cap : caps) {
-            CompilerOptions copts;
-            copts.placer = opts.placer;
+            CompilerOptions copts = opts.compile;
             copts.unrollFactor = cap;
             jobs.push_back(KernelSweepJob{w, fabric, 0, copts});
-            AblationCell cell;
-            cell.kernel = w->name();
-            cell.requestedFactor = cap;
-            cells.push_back(std::move(cell));
         }
     }
     if (jobs.empty()) {
@@ -1072,65 +934,52 @@ runUnrollAblation(const Options &opts, const SweepRunner &runner)
 
     std::printf("== Unroll-factor ablation: GEMM+LDPC on the "
                 "10x10 fabric (%s placer) ==\n",
-                std::string(placerName(opts.placer)).c_str());
+                std::string(placerName(opts.compile.placer)).c_str());
     std::printf("  %-6s %4s %6s %10s %10s  %s\n", "kernel", "cap",
                 "chosen", "cycles", "scheduled", "result");
     bool failed = false;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
+    Json::Array rows;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
         const KernelSweepResult &r = results[i];
-        AblationCell &cell = cells[i];
-        cell.compiled = r.compiled;
-        cell.validated = r.validated;
-        if (r.compiled)
-            cell.cycles = r.run.cycles;
+        const std::string kernel = jobs[i].workload->name();
+        const int cap = jobs[i].options.unrollFactor;
+        const std::uint64_t cycles = r.compiled ? r.run.cycles : 0;
         // The sweep result carries no compile report; re-derive
         // the chosen factor (and the scheduled estimate) with a
         // fresh compile under the same options.
         Compiler compiler(fabric, jobs[i].options);
         CompileResult cr = compiler.compile(*jobs[i].workload);
-        cell.chosenFactor = chosenUnrollFactor(cr.report);
-        cell.scheduledCycles = cr.report.scheduledCycleEstimate;
-        if (!cell.compiled || !cell.validated)
+        const int chosen = chosenUnrollFactor(cr.report);
+        const double scheduled = cr.report.scheduledCycleEstimate;
+        if (!r.compiled || !r.validated)
             failed = true;
         std::printf(
-            "  %-6s %4s %6d %10llu %10.0f  %s\n",
-            cell.kernel.c_str(),
-            cell.requestedFactor == 0
-                ? "auto"
-                : std::to_string(cell.requestedFactor).c_str(),
-            cell.chosenFactor,
-            static_cast<unsigned long long>(cell.cycles),
-            cell.scheduledCycles,
-            !cell.compiled
+            "  %-6s %4s %6d %10llu %10.0f  %s\n", kernel.c_str(),
+            cap == 0 ? "auto" : std::to_string(cap).c_str(), chosen,
+            static_cast<unsigned long long>(cycles), scheduled,
+            !r.compiled
                 ? ("rejected: " + r.diagnostic).c_str()
-                : (cell.validated ? "bit-exact vs golden"
-                                  : r.validationError.c_str()));
+                : (r.validated ? "bit-exact vs golden"
+                               : r.validationError.c_str()));
+        rows.push_back(
+            Json::object()
+                .set("kernel", kernel)
+                .set("requested_factor", cap)
+                .set("auto", cap == 0)
+                .set("chosen_factor", chosen)
+                .set("compiled", r.compiled)
+                .set("validated", r.validated)
+                .set("cycles", cycles)
+                .set("scheduled_cycles",
+                     static_cast<std::uint64_t>(scheduled)));
     }
 
-    std::ofstream out;
-    if (!openReport(out, opts.unrollAblationPath,
-                    "unroll-ablation"))
+    if (!JsonWriter()
+             .set("fabric", "10x10")
+             .set("placer", std::string(placerName(opts.compile.placer)))
+             .set("cells", std::move(rows))
+             .save(opts.unrollAblationPath, "unroll-ablation"))
         return 1;
-    out << "  \"fabric\": \"10x10\",\n  \"placer\": \""
-        << placerName(opts.placer) << "\",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        const AblationCell &cell = cells[i];
-        out << "    {\"kernel\": \"" << cell.kernel
-            << "\", \"requested_factor\": " << cell.requestedFactor
-            << ", \"auto\": "
-            << (cell.requestedFactor == 0 ? "true" : "false")
-            << ", \"chosen_factor\": " << cell.chosenFactor
-            << ", \"compiled\": "
-            << (cell.compiled ? "true" : "false")
-            << ", \"validated\": "
-            << (cell.validated ? "true" : "false")
-            << ", \"cycles\": " << cell.cycles
-            << ", \"scheduled_cycles\": "
-            << static_cast<std::uint64_t>(cell.scheduledCycles)
-            << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n";
-    closeReport(out, opts.unrollAblationPath, "unroll-ablation");
     if (failed)
         std::fprintf(stderr,
                      "paper_eval: unroll ablation FAILED — a "
@@ -1149,18 +998,26 @@ struct ResilienceCell
     std::string kernel;
     int deadPes = 0;
     int deadLinks = 0;
-    bool compiled = false;
-    std::string diagnostic;
-    bool validated = false;
-    std::string runError;    ///< structured error name, or "".
-    std::string errorDetail;
-    int retries = 0;
-    bool recompiled = false;
-    std::string jobError;
-    std::uint64_t cycles = 0;
+    KernelSweepResult r;
     /** Validated cycles / the kernel's zero-fault validated cycles;
      *  0 when either side is unavailable. */
     double overhead = 0.0;
+
+    /** A compiled run that ended in a structured RunError. */
+    bool
+    runError() const
+    {
+        return r.compiled && r.run.error != RunError::None;
+    }
+    std::uint64_t cycles() const { return r.compiled ? r.run.cycles : 0; }
+    /** The job error, run error detail or rejection, in that order. */
+    const std::string &
+    diagnostic() const
+    {
+        return !r.jobError.empty() ? r.jobError
+               : runError()        ? r.run.errorDetail
+                                   : r.diagnostic;
+    }
 };
 
 /**
@@ -1177,10 +1034,8 @@ struct ResilienceCell
 int
 runResilienceSweep(const Options &opts, const SweepRunner &runner)
 {
-    const MachineConfig base = primaryFabric();
-    CompilerOptions copts;
-    copts.placer = opts.placer;
-    copts.unrollFactor = opts.unrollFactor;
+    const MachineConfig base = evalFabric();
+    const CompilerOptions &copts = opts.compile;
 
     // ISSUE grid: dead-PE counts spanning 0..8, dead-link counts
     // spanning 0..4 — or the single --fault-grid cell (always with
@@ -1212,49 +1067,32 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
             job.discoverFaults = true;
             job.maxRetries = 1;
             jobs.push_back(std::move(job));
-            ResilienceCell cell;
-            cell.kernel = w->name();
-            cell.deadPes = dead_pes;
-            cell.deadLinks = dead_links;
-            table.push_back(std::move(cell));
+            table.push_back({w->name(), dead_pes, dead_links, {}, 0.0});
         }
     }
 
     ProgramCache cache;
     std::vector<KernelSweepResult> results =
         runner.runKernels(jobs, cache);
+    KernelSweepStats stats = summarizeKernelSweep(results);
 
     // Zero-fault baselines (cycles; cell (0,0) leads each kernel's
     // block) for the overhead ratios, and the set of kernels the
     // clean compiler accepts — only those count toward survival.
     std::size_t per_kernel = cells.size();
     for (std::size_t i = 0; i < results.size(); ++i) {
-        const KernelSweepResult &r = results[i];
         ResilienceCell &cell = table[i];
-        cell.compiled = r.compiled;
-        cell.diagnostic = r.diagnostic;
-        cell.validated = r.validated;
-        cell.retries = r.retries;
-        cell.recompiled = r.recompiled;
-        cell.jobError = r.jobError;
-        if (r.compiled) {
-            cell.cycles = r.run.cycles;
-            if (r.run.error != RunError::None) {
-                cell.runError = runErrorName(r.run.error);
-                cell.errorDetail = r.run.errorDetail;
-            }
-        }
-        const ResilienceCell &zero =
-            table[i - (i % per_kernel)];
-        if (cell.validated && zero.validated && zero.cycles > 0)
-            cell.overhead = static_cast<double>(cell.cycles) /
-                            static_cast<double>(zero.cycles);
+        cell.r = std::move(results[i]);
+        const KernelSweepResult &zero = table[i - (i % per_kernel)].r;
+        if (cell.r.validated && zero.validated && zero.run.cycles > 0)
+            cell.overhead = static_cast<double>(cell.r.run.cycles) /
+                            static_cast<double>(zero.run.cycles);
     }
 
     std::printf("== Fault resilience: seeded fault sweep on the "
                 "10x10 fabric (seed %llu, %s placer) ==\n",
                 static_cast<unsigned long long>(opts.faultSeed),
-                std::string(placerName(opts.placer)).c_str());
+                std::string(placerName(opts.compile.placer)).c_str());
     std::printf("  %-6s %4s %5s %10s %7s %8s  %s\n", "kernel",
                 "dead", "links", "cycles", "retry", "overhead",
                 "result");
@@ -1265,23 +1103,24 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
     int overhead_count = 0;
     for (std::size_t i = 0; i < table.size(); ++i) {
         const ResilienceCell &cell = table[i];
-        const ResilienceCell &zero = table[i - (i % per_kernel)];
+        const KernelSweepResult &r = cell.r;
+        const KernelSweepResult &zero = table[i - (i % per_kernel)].r;
         const char *verdict = nullptr;
-        if (!cell.jobError.empty()) {
+        if (!r.jobError.empty()) {
             verdict = "JOB THREW";
             failed = true;
-        } else if (!cell.compiled) {
+        } else if (!r.compiled) {
             // A clean rejection is acceptable under faults only if
             // it is the pass-attributed unmappable diagnostic (or
             // the kernel is rejected even fault-free, e.g. MS/FFT).
             verdict = "rejected";
             if (zero.compiled &&
-                cell.diagnostic.find("unmappable under faults") ==
+                r.diagnostic.find("unmappable under faults") ==
                     std::string::npos)
                 failed = true;
-        } else if (cell.validated) {
+        } else if (r.validated) {
             verdict = "bit-exact";
-        } else if (!cell.runError.empty()) {
+        } else if (cell.runError()) {
             verdict = "structured error";
         } else {
             verdict = "SILENT CORRUPTION";
@@ -1289,12 +1128,12 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
         }
         if (zero.compiled && zero.validated) {
             ++survivable;
-            if (cell.validated)
+            if (r.validated)
                 ++survived;
         }
-        if (cell.recompiled) {
+        if (r.recompiled) {
             ++recompiles;
-            if (cell.validated)
+            if (r.validated)
                 ++recoveries;
         }
         if (cell.overhead > 0.0 &&
@@ -1305,26 +1144,21 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
         std::printf(
             "  %-6s %4d %5d %10llu %7d %8s  %s%s%s\n",
             cell.kernel.c_str(), cell.deadPes, cell.deadLinks,
-            static_cast<unsigned long long>(cell.cycles),
-            cell.retries,
+            static_cast<unsigned long long>(cell.cycles()), r.retries,
             cell.overhead > 0.0
                 ? (std::to_string(cell.overhead).substr(0, 5) + "x")
                       .c_str()
                 : "-",
             verdict,
-            (!cell.jobError.empty() || !cell.runError.empty() ||
-             (!cell.compiled && !cell.diagnostic.empty()))
+            (!r.jobError.empty() || cell.runError() ||
+             (!r.compiled && !r.diagnostic.empty()))
                 ? ": "
                 : "",
-            !cell.jobError.empty()
-                ? cell.jobError.c_str()
-                : (!cell.runError.empty()
-                       ? cell.errorDetail.c_str()
-                       : (!cell.compiled ? cell.diagnostic.c_str()
-                                         : "")));
+            !r.jobError.empty() || cell.runError() || !r.compiled
+                ? cell.diagnostic().c_str()
+                : "");
     }
 
-    KernelSweepStats stats = summarizeKernelSweep(results);
     double survival =
         survivable > 0 ? 100.0 * survived / survivable : 0.0;
     double recompile_rate =
@@ -1347,49 +1181,37 @@ runResilienceSweep(const Options &opts, const SweepRunner &runner)
                 jobs.size());
 
     if (!opts.resilienceReportPath.empty()) {
-        std::ofstream out;
-        if (!openReport(out, opts.resilienceReportPath,
-                        "resilience"))
-            return 1;
-        out << "  \"fabric\": \"10x10\",\n  \"seed\": "
-            << opts.faultSeed << ",\n  \"survival_rate\": "
-            << survival / 100.0
-            << ",\n  \"recompile_success_rate\": "
-            << recompile_rate / 100.0
-            << ",\n  \"cycle_overhead_geomean\": "
-            << overhead_geomean
-            << ",\n  \"retried\": " << stats.retried
-            << ",\n  \"recovered_by_recompile\": "
-            << stats.recoveredByRecompile
-            << ",\n  \"cells\": [\n";
-        for (std::size_t i = 0; i < table.size(); ++i) {
-            const ResilienceCell &cell = table[i];
-            out << "    {\"kernel\": \"" << cell.kernel
-                << "\", \"dead_pes\": " << cell.deadPes
-                << ", \"dead_links\": " << cell.deadLinks
-                << ", \"compiled\": "
-                << (cell.compiled ? "true" : "false")
-                << ", \"validated\": "
-                << (cell.validated ? "true" : "false")
-                << ", \"cycles\": " << cell.cycles
-                << ", \"retries\": " << cell.retries
-                << ", \"recompiled\": "
-                << (cell.recompiled ? "true" : "false")
-                << ", \"overhead\": " << cell.overhead
-                << ", \"run_error\": \""
-                << jsonEscape(cell.runError)
-                << "\", \"diagnostic\": \""
-                << jsonEscape(!cell.jobError.empty()
-                                  ? cell.jobError
-                                  : (!cell.errorDetail.empty()
-                                         ? cell.errorDetail
-                                         : cell.diagnostic))
-                << "\"}" << (i + 1 < table.size() ? "," : "")
-                << "\n";
-        }
-        out << "  ]\n";
+        Json::Array rows;
+        for (const ResilienceCell &cell : table)
+            rows.push_back(
+                Json::object()
+                    .set("kernel", cell.kernel)
+                    .set("dead_pes", cell.deadPes)
+                    .set("dead_links", cell.deadLinks)
+                    .set("compiled", cell.r.compiled)
+                    .set("validated", cell.r.validated)
+                    .set("cycles", cell.cycles())
+                    .set("retries", cell.r.retries)
+                    .set("recompiled", cell.r.recompiled)
+                    .set("overhead", cell.overhead)
+                    .set("run_error",
+                         cell.runError()
+                             ? std::string(runErrorName(cell.r.run.error))
+                             : std::string())
+                    .set("diagnostic", cell.diagnostic()));
         std::printf("  ");
-        closeReport(out, opts.resilienceReportPath, "resilience");
+        if (!JsonWriter()
+                 .set("fabric", "10x10")
+                 .set("seed", opts.faultSeed)
+                 .set("survival_rate", survival / 100.0)
+                 .set("recompile_success_rate", recompile_rate / 100.0)
+                 .set("cycle_overhead_geomean", overhead_geomean)
+                 .set("retried", stats.retried)
+                 .set("recovered_by_recompile",
+                      stats.recoveredByRecompile)
+                 .set("cells", std::move(rows))
+                 .save(opts.resilienceReportPath, "resilience"))
+            return 1;
     }
 
     if (failed)
@@ -1412,7 +1234,7 @@ int
 runServeSmoke()
 {
     serve::ServeOptions options;
-    options.fabric = primaryFabric();
+    options.fabric = evalFabric();
     options.fabrics = 1;
     options.regionsPerFabric = 4;
     options.queueCapacity = 16;
@@ -1492,23 +1314,16 @@ main(int argc, char **argv)
         return runUnrollAblation(opts, ab_runner);
     }
 
-    ModelParams params;
-    Features base_f;
-    base_f.controlNetwork = false;
-    base_f.agileAssignment = false;
-    Features net_f = base_f;
-    net_f.controlNetwork = true;
-    Features full_f; // everything on.
-
-    auto vn = makeVonNeumannPe(params);
-    auto df = makeDataflowPe(params);
-    auto mar_base = makeMarionette(params, base_f);
-    auto mar_net = makeMarionette(params, net_f);
-    auto mar = makeMarionette(params, full_f);
-    auto sb = makeSoftbrain(params);
-    auto tia = makeTia(params);
-    auto revel = makeRevel(params);
-    auto riptide = makeRiptide(params);
+    const ModelZoo zoo;
+    const std::string vn = zoo.vonNeumann->name();
+    const std::string df = zoo.dataflow->name();
+    const std::string mar_base = zoo.marionetteBase->name();
+    const std::string mar_net = zoo.marionetteNet->name();
+    const std::string mar = zoo.marionette->name();
+    const std::string sb = zoo.softbrain->name();
+    const std::string tia = zoo.tia->name();
+    const std::string revel = zoo.revel->name();
+    const std::string riptide = zoo.riptide->name();
 
     std::vector<WorkloadProfile> profiles;
     for (const WorkloadProfile &p : allProfiles())
@@ -1518,12 +1333,8 @@ main(int argc, char **argv)
     for (const WorkloadProfile &p : intensiveProfiles())
         if (selected(opts, p.name))
             intensive.push_back(p);
-    std::vector<const ArchModel *> models{
-        vn.get(),  df.get(),    mar_base.get(),
-        mar_net.get(), mar.get(), sb.get(),
-        tia.get(), revel.get(), riptide.get()};
     SweepRunner runner(opts.jobs);
-    CycleTable table = runSuiteParallel(models, profiles, runner);
+    CycleTable table = runSuiteParallel(zoo.all(), profiles, runner);
 
     std::printf("== Table 1: control flow forms ==\n");
     for (const WorkloadProfile &p : profiles)
@@ -1541,29 +1352,26 @@ main(int argc, char **argv)
 
     std::printf("\n== Fig 11: PE execution models "
                 "(normalized to von Neumann PE) ==\n%s",
-                renderSpeedupTable(table, vn->name(),
-                                   {vn->name(), df->name(),
-                                    mar_base->name()},
+                renderSpeedupTable(table, vn, {vn, df, mar_base},
                                    intensive)
                     .c_str());
 
     std::printf("\n== Fig 12: + control network ==\n%s",
-                renderSpeedupTable(table, mar_base->name(),
-                                   {mar_net->name()}, intensive)
+                renderSpeedupTable(table, mar_base, {mar_net},
+                                   intensive)
                     .c_str());
 
     std::printf("\n== Fig 13: control network timing ==\n%s",
                 toString(delaySweep()).c_str());
 
     std::printf("\n== Fig 14: + Agile PE Assignment ==\n%s",
-                renderSpeedupTable(table, mar_net->name(),
-                                   {mar->name()}, intensive)
+                renderSpeedupTable(table, mar_net, {mar}, intensive)
                     .c_str());
 
     std::printf("\n== Fig 15: Agile utilization effects ==\n");
     for (const WorkloadProfile &p : intensive) {
-        const ModelResult &s = table.at(mar_net->name()).at(p.name);
-        const ModelResult &a = table.at(mar->name()).at(p.name);
+        const ModelResult &s = table.at(mar_net).at(p.name);
+        const ModelResult &a = table.at(mar).at(p.name);
         if (s.outerBbPeUtil <= 0)
             continue;
         std::printf("  %-6s outerBB %5.1f%% -> %5.1f%% (%5.1fx)   "
@@ -1577,12 +1385,10 @@ main(int argc, char **argv)
 
     std::printf("\n== Fig 16: network vs Agile speedup split ==\n");
     for (const WorkloadProfile &p : intensive) {
-        double net_gain =
-            table.at(mar_base->name()).at(p.name).cycles /
-            table.at(mar_net->name()).at(p.name).cycles;
-        double agile_gain =
-            table.at(mar_net->name()).at(p.name).cycles /
-            table.at(mar->name()).at(p.name).cycles;
+        double net_gain = table.at(mar_base).at(p.name).cycles /
+                          table.at(mar_net).at(p.name).cycles;
+        double agile_gain = table.at(mar_net).at(p.name).cycles /
+                            table.at(mar).at(p.name).cycles;
         std::printf("  %-6s network %4.0f%%   agile %4.0f%%\n",
                     p.name.c_str(), 100 * (net_gain - 1),
                     100 * (agile_gain - 1));
@@ -1590,10 +1396,8 @@ main(int argc, char **argv)
 
     std::printf("\n== Fig 17: vs state of the art "
                 "(normalized to Softbrain) ==\n%s",
-                renderSpeedupTable(table, sb->name(),
-                                   {sb->name(), tia->name(),
-                                    revel->name(), riptide->name(),
-                                    mar->name()},
+                renderSpeedupTable(table, sb,
+                                   {sb, tia, revel, riptide, mar},
                                    profiles)
                     .c_str());
 
@@ -1601,42 +1405,36 @@ main(int argc, char **argv)
         std::printf("\nMarionette geomean speedups (intensive): "
                     "Softbrain %.2fx, TIA %.2fx, REVEL %.2fx, "
                     "RipTide %.2fx\n",
-                    speedups(table, sb->name(), mar->name(),
-                             intensive).back(),
-                    speedups(table, tia->name(), mar->name(),
-                             intensive).back(),
-                    speedups(table, revel->name(), mar->name(),
-                             intensive).back(),
-                    speedups(table, riptide->name(), mar->name(),
-                             intensive).back());
+                    speedups(table, sb, mar, intensive).back(),
+                    speedups(table, tia, mar, intensive).back(),
+                    speedups(table, revel, mar, intensive).back(),
+                    speedups(table, riptide, mar, intensive).back());
     }
 
     // Full-LDPC composite (Fig. 17 note): intensive LDPC decode
     // plus a non-intensive front end (Gray-processing-like).
     if (selected(opts, "LDPC") && selected(opts, "GP")) {
-        auto composite = [&](const char *arch) {
+        auto composite = [&](const std::string &arch) {
             return table.at(arch).at("LDPC").cycles +
                    table.at(arch).at("GP").cycles;
         };
         std::printf("Full LDPC application: Softbrain %.2fx, TIA "
                     "%.2fx, REVEL %.2fx, RipTide %.2fx\n",
-                    composite(sb->name().c_str()) /
-                        composite(mar->name().c_str()),
-                    composite(tia->name().c_str()) /
-                        composite(mar->name().c_str()),
-                    composite(revel->name().c_str()) /
-                        composite(mar->name().c_str()),
-                    composite(riptide->name().c_str()) /
-                        composite(mar->name().c_str()));
+                    composite(sb) / composite(mar),
+                    composite(tia) / composite(mar),
+                    composite(revel) / composite(mar),
+                    composite(riptide) / composite(mar));
     }
 
     std::vector<KernelCoverage> coverage =
         machineValidation(opts, runner);
-    if (!opts.reportPath.empty())
-        writeReport(opts.reportPath, coverage);
-    if (!opts.mappedReportPath.empty())
-        writeMappedReport(opts.mappedReportPath,
-                          mappedCyclesAb(opts, runner));
+    if (!opts.reportPath.empty() &&
+        !writeCoverageReport(opts.reportPath, coverage))
+        return 1;
+    if (!opts.mappedReportPath.empty() &&
+        !writeMappedReport(opts.mappedReportPath,
+                           mappedCyclesAb(opts, runner)))
+        return 1;
     if (opts.fastForward == 1 && !fastForwardSmoke(opts, runner))
         return 1;
     if (opts.snapshotStats)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Compiled-program cache keyed by (workload, architectural config
- * hash).
+ * Compiled-program cache keyed by ProgramKey: the workload, the
+ * architectural config hash and every compile option.
  *
  * Grid sweeps evaluate the same kernel on many configurations and
  * the same configuration on many kernels — and the parallel
@@ -20,6 +20,7 @@
 #ifndef MARIONETTE_COMPILER_PROGRAM_CACHE_H
 #define MARIONETTE_COMPILER_PROGRAM_CACHE_H
 
+#include <compare>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -30,13 +31,36 @@
 namespace marionette
 {
 
+/**
+ * Identity of one compiled program, shared by ProgramCache and
+ * SnapshotCache.  Every compile option is a field of its own and
+ * keys compare field by field, so two distinct cells can never
+ * share an entry through a folded hash.
+ */
+struct ProgramKey
+{
+    ProgramKey(const Workload &workload, const MachineConfig &config,
+               const CompilerOptions &options);
+
+    std::string workload;
+    std::uint64_t configHash = 0;
+    /** Snake and cost mappings are different programs. */
+    PlacerKind placer = PlacerKind::Cost;
+    int unrollFactor = 0;
+    /** The scratchpad window relocates every memory access (base)
+     *  and gates the footprint check (size). */
+    Word memoryBase = 0;
+    Word memoryWords = 0;
+
+    auto operator<=>(const ProgramKey &) const = default;
+};
+
 /** Thread-safe memoization of Compiler::compile. */
 class ProgramCache
 {
   public:
     /** Compile (or reuse) @p workload for @p config under
-     *  @p options (the placer choice is part of the key: snake and
-     *  cost mappings are different programs). */
+     *  @p options, keyed by their ProgramKey. */
     CompileResult getOrCompile(const Workload &workload,
                                const MachineConfig &config,
                                const CompilerOptions &options = {});
@@ -48,8 +72,7 @@ class ProgramCache
 
   private:
     mutable std::mutex mutex_;
-    std::map<std::pair<std::string, std::uint64_t>, CompileResult>
-        entries_;
+    std::map<ProgramKey, CompileResult> entries_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
 };

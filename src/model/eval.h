@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,38 @@ using CycleTable =
     std::map<std::string, std::map<std::string, ModelResult>>;
 
 class SweepRunner;
+
+/** The model zoo behind the evaluation figures: the two baseline PE
+ *  models, the Marionette feature ladder and four rival fabrics. */
+struct ModelZoo
+{
+    ModelParams params;
+    std::unique_ptr<ArchModel> vonNeumann = makeVonNeumannPe(params);
+    std::unique_ptr<ArchModel> dataflow = makeDataflowPe(params);
+    /** Proactive configuration only. */
+    std::unique_ptr<ArchModel> marionetteBase = makeMarionette(
+        params, {.controlNetwork = false, .agileAssignment = false});
+    /** + the control network. */
+    std::unique_ptr<ArchModel> marionetteNet =
+        makeMarionette(params, {.agileAssignment = false});
+    /** + Agile PE Assignment: the full design. */
+    std::unique_ptr<ArchModel> marionette = makeMarionette(params, {});
+    std::unique_ptr<ArchModel> softbrain = makeSoftbrain(params);
+    std::unique_ptr<ArchModel> tia = makeTia(params);
+    std::unique_ptr<ArchModel> revel = makeRevel(params);
+    std::unique_ptr<ArchModel> riptide = makeRiptide(params);
+
+    /** Every model, in the order the figures list them. */
+    std::vector<const ArchModel *>
+    all() const
+    {
+        return {vonNeumann.get(),    dataflow.get(),
+                marionetteBase.get(), marionetteNet.get(),
+                marionette.get(),    softbrain.get(),
+                tia.get(),           revel.get(),
+                riptide.get()};
+    }
+};
 
 /** Run each model on each profile. */
 CycleTable

@@ -302,29 +302,12 @@ ServeCore::serveOne(Lane &lane, Pending &pending)
     MarionetteMachine &machine = *lane.machine;
 
     // Warm start: restore the cell's post-prepare checkpoint when
-    // one exists; otherwise prepare and publish it.
-    const std::uint64_t cell_hash = configHash(lane.config);
-    std::shared_ptr<const MachineSnapshot> snapshot;
-    if (options_.snapshots)
-        snapshot = snapshots_.lookup(workload->name(), cell_hash,
-                                     copts);
-    if (snapshot) {
-        // restore() rewinds the stats to the post-prepare capture,
-        // which resetStats() below kept tenant-clean.
-        machine.restore(*snapshot);
-        response.warmStart = true;
-    } else if (options_.snapshots) {
-        const auto prepare_start =
-            std::chrono::steady_clock::now();
-        machine.resetStats();
-        kernel.prepare(machine);
-        const std::uint64_t prepare_micros =
-            microsSince(prepare_start);
-        snapshots_.store(
-            workload->name(), cell_hash, copts,
-            std::make_shared<const MachineSnapshot>(
-                machine.snapshot()),
-            prepare_micros);
+    // one exists; otherwise prepare (from reset stats, so every
+    // response's stats are tenant-clean) and publish it.
+    if (options_.snapshots) {
+        response.warmStart = snapshots_.prepareOrRestore(
+            ProgramKey(*workload, lane.config, copts), kernel,
+            machine);
     } else {
         machine.resetStats();
         kernel.prepare(machine);

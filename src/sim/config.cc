@@ -88,4 +88,25 @@ configHash(const MachineConfig &config)
     return h;
 }
 
+MachineConfig
+evalFabric()
+{
+    MachineConfig config;
+    config.rows = 10;
+    config.cols = 10;
+    config.scratchpadBytes = 512 * 1024;
+    config.instrMemBytes = 64 * 1024;
+    return config;
+}
+
+MachineConfig
+slowMeshEvalFabric()
+{
+    MachineConfig config = evalFabric();
+    config.meshHopLatency = 2;
+    config.dataNetLatency = 12;
+    config.scratchpadBanks = 8;
+    return config;
+}
+
 } // namespace marionette

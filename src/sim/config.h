@@ -152,6 +152,15 @@ struct MachineConfig
  */
 std::uint64_t configHash(const MachineConfig &config);
 
+/** The 10x10 evaluation fabric every Table-5 kernel is mapped to:
+ *  512 KiB data scratchpad, 64 KiB instruction memory. */
+MachineConfig evalFabric();
+
+/** evalFabric() with a slower mesh (two-cycle hops, 12-cycle
+ *  corner-to-corner data net) and 8 scratchpad banks: the second
+ *  fabric of the placement A/B. */
+MachineConfig slowMeshEvalFabric();
+
 } // namespace marionette
 
 #endif // MARIONETTE_SIM_CONFIG_H

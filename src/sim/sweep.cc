@@ -105,32 +105,40 @@ SweepRunner::runMachines(const std::vector<MachineJob> &jobs) const
     return results;
 }
 
-std::shared_ptr<const MachineSnapshot>
-SnapshotCache::lookup(const std::string &workload,
-                      std::uint64_t config_hash,
-                      const CompilerOptions &options)
+bool
+SnapshotCache::prepareOrRestore(const ProgramKey &key,
+                                const CompiledKernel &kernel,
+                                MarionetteMachine &machine)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = entries_.find(makeKey(workload, config_hash, options));
-    if (it == entries_.end()) {
-        ++counters_.misses;
-        return nullptr;
+    std::shared_ptr<const MachineSnapshot> snapshot;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = entries_.find(key);
+        if (it != entries_.end()) {
+            ++counters_.hits;
+            counters_.savedMicros += it->second.prepareMicros;
+            snapshot = it->second.snapshot;
+        } else {
+            ++counters_.misses;
+        }
     }
-    ++counters_.hits;
-    counters_.savedMicros += it->second.prepareMicros;
-    return it->second.snapshot;
-}
-
-void
-SnapshotCache::store(
-    const std::string &workload, std::uint64_t config_hash,
-    const CompilerOptions &options,
-    std::shared_ptr<const MachineSnapshot> snapshot,
-    std::uint64_t prepare_micros)
-{
+    if (snapshot) {
+        machine.restore(*snapshot);
+        return true;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    machine.resetStats();
+    kernel.prepare(machine);
+    const auto micros =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    snapshot =
+        std::make_shared<const MachineSnapshot>(machine.snapshot());
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_.emplace(makeKey(workload, config_hash, options),
-                     Entry{std::move(snapshot), prepare_micros});
+    entries_.emplace(key, Entry{std::move(snapshot),
+                                static_cast<std::uint64_t>(micros)});
+    return false;
 }
 
 SnapshotCache::Counters
@@ -138,21 +146,6 @@ SnapshotCache::counters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return counters_;
-}
-
-SnapshotCache::Key
-SnapshotCache::makeKey(const std::string &workload,
-                       std::uint64_t config_hash,
-                       const CompilerOptions &options)
-{
-    Key key;
-    key.workload = workload;
-    key.configHash = config_hash;
-    key.placer = static_cast<int>(options.placer);
-    key.unrollFactor = options.unrollFactor;
-    key.memoryBase = options.memoryBase;
-    key.memoryWords = options.memoryWords;
-    return key;
 }
 
 std::vector<KernelSweepResult>
@@ -195,37 +188,17 @@ SweepRunner::runKernels(const std::vector<KernelSweepJob> &jobs,
 
                 const CompiledKernel &kernel = *compiled.kernel;
                 MarionetteMachine machine(job.config);
-                // Warm start: restore the cell's checkpoint when
-                // one exists, otherwise prepare from scratch and
-                // publish the checkpoint for the next repetition.
-                // Retried jobs recompile against a different fault
-                // view, so the (architectural) key is recomputed
+                // Warm start from the cell's checkpoint when one
+                // is cached.  Retried jobs recompile against a
+                // different fault view, so the key is recomputed
                 // per iteration.
-                std::shared_ptr<const MachineSnapshot> snap;
                 if (snapshots)
-                    snap = snapshots->lookup(
-                        job.workload->name(),
-                        configHash(compile_config), job.options);
-                if (snap) {
-                    machine.restore(*snap);
-                } else if (snapshots) {
-                    const auto t0 =
-                        std::chrono::steady_clock::now();
+                    snapshots->prepareOrRestore(
+                        ProgramKey(*job.workload, compile_config,
+                                   job.options),
+                        kernel, machine);
+                else
                     kernel.prepare(machine);
-                    const auto micros =
-                        std::chrono::duration_cast<
-                            std::chrono::microseconds>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-                    snapshots->store(
-                        job.workload->name(),
-                        configHash(compile_config), job.options,
-                        std::make_shared<const MachineSnapshot>(
-                            machine.snapshot()),
-                        static_cast<std::uint64_t>(micros));
-                } else {
-                    kernel.prepare(machine);
-                }
                 out.run =
                     machine.run(job.maxCycles > 0
                                     ? job.maxCycles

@@ -33,13 +33,12 @@
 #include <vector>
 
 #include "arch/machine.h"
-#include "compiler/compiler.h"
+#include "compiler/program_cache.h"
 #include "sim/config.h"
 
 namespace marionette
 {
 
-class ProgramCache;
 class Workload;
 
 /** One (machine configuration, kernel) simulation of a sweep. */
@@ -163,9 +162,8 @@ summarizeKernelSweep(const std::vector<KernelSweepResult> &results);
  * to the byte.
  *
  * Thread-safe; snapshots are shared immutably across jobs.  Keyed
- * by workload name, architectural configHash and compile options —
- * the same identity the program cache uses — so simulator-only
- * toggles (eventDrivenSim, fastForward) share one checkpoint.
+ * by the program cache's ProgramKey, so simulator-only toggles
+ * (eventDrivenSim, fastForward) share one checkpoint.
  */
 class SnapshotCache
 {
@@ -178,60 +176,30 @@ class SnapshotCache
         std::uint64_t savedMicros = 0;
     };
 
-    /** Cached checkpoint for a key, or nullptr on miss. */
-    std::shared_ptr<const MachineSnapshot>
-    lookup(const std::string &workload,
-           std::uint64_t config_hash,
-           const CompilerOptions &options);
-
-    /** Store a checkpoint (first writer wins) and account the
-     *  prepare cost @p prepare_micros for future hit savings. */
-    void store(const std::string &workload,
-               std::uint64_t config_hash,
-               const CompilerOptions &options,
-               std::shared_ptr<const MachineSnapshot> snapshot,
-               std::uint64_t prepare_micros);
+    /**
+     * Bring @p machine to @p kernel's post-prepare state: restore
+     * the cell's checkpoint when one is stored (a hit), otherwise
+     * reset the stats, prepare, and publish the checkpoint with
+     * its timed prepare cost (a miss; first writer wins).  One
+     * lookup per call.  resetStats() leaves a fresh machine as it
+     * is, and keeps a reused one's checkpoint tenant-clean.
+     * Returns true on a warm start.
+     */
+    bool prepareOrRestore(const ProgramKey &key,
+                          const CompiledKernel &kernel,
+                          MarionetteMachine &machine);
 
     Counters counters() const;
 
   private:
-    struct Key
-    {
-        std::string workload;
-        std::uint64_t configHash = 0;
-        int placer = 0;
-        int unrollFactor = 0;
-        Word memoryBase = 0;
-        Word memoryWords = 0;
-
-        bool operator<(const Key &o) const
-        {
-            if (workload != o.workload)
-                return workload < o.workload;
-            if (configHash != o.configHash)
-                return configHash < o.configHash;
-            if (placer != o.placer)
-                return placer < o.placer;
-            if (unrollFactor != o.unrollFactor)
-                return unrollFactor < o.unrollFactor;
-            if (memoryBase != o.memoryBase)
-                return memoryBase < o.memoryBase;
-            return memoryWords < o.memoryWords;
-        }
-    };
-
     struct Entry
     {
         std::shared_ptr<const MachineSnapshot> snapshot;
         std::uint64_t prepareMicros = 0;
     };
 
-    static Key makeKey(const std::string &workload,
-                       std::uint64_t config_hash,
-                       const CompilerOptions &options);
-
     mutable std::mutex mutex_;
-    std::map<Key, Entry> entries_;
+    std::map<ProgramKey, Entry> entries_;
     Counters counters_;
 };
 

@@ -20,29 +20,12 @@
 
 using namespace marionette;
 
-namespace
-{
-
-MachineConfig
-primaryFabric()
-{
-    MachineConfig big;
-    big.rows = 10;
-    big.cols = 10;
-    big.scratchpadBytes = 512 * 1024;
-    big.instrMemBytes = 64 * 1024;
-    return big;
-}
-
-} // namespace
-
 TEST(CacheStress, ConcurrentMixedHitMissFromManyThreads)
 {
     constexpr int kThreads = 8;
     constexpr int kIters = 24;
 
-    const MachineConfig fabric = primaryFabric();
-    const std::uint64_t fabric_hash = configHash(fabric);
+    const MachineConfig fabric = evalFabric();
     ProgramCache programs;
     SnapshotCache snapshots;
 
@@ -75,18 +58,9 @@ TEST(CacheStress, ConcurrentMixedHitMissFromManyThreads)
                     ++failures;
                     continue;
                 }
-                auto snapshot = snapshots.lookup(
-                    workload->name(), fabric_hash, copts);
-                if (snapshot) {
-                    machine.restore(*snapshot);
-                } else {
-                    compiled.kernel->prepare(machine);
-                    snapshots.store(
-                        workload->name(), fabric_hash, copts,
-                        std::make_shared<const MachineSnapshot>(
-                            machine.snapshot()),
-                        1);
-                }
+                snapshots.prepareOrRestore(
+                    ProgramKey(*workload, fabric, copts),
+                    *compiled.kernel, machine);
             }
         });
     }

@@ -24,17 +24,6 @@ namespace marionette
 namespace
 {
 
-MachineConfig
-evalFabric()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
 TEST(FaultPlan, SeededIsDeterministic)
 {
     FaultPlan a = FaultPlan::seeded(10, 10, 4, 2, 7);

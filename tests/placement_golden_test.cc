@@ -31,29 +31,6 @@ namespace marionette
 namespace
 {
 
-/** The 10x10 eval fabric. */
-MachineConfig
-evalFabric()
-{
-    MachineConfig config;
-    config.rows = 10;
-    config.cols = 10;
-    config.scratchpadBytes = 512 * 1024;
-    config.instrMemBytes = 64 * 1024;
-    return config;
-}
-
-/** The eval fabric with two-cycle mesh hops. */
-MachineConfig
-slowMeshFabric()
-{
-    MachineConfig config = evalFabric();
-    config.meshHopLatency = 2;
-    config.dataNetLatency = 12;
-    config.scratchpadBanks = 8;
-    return config;
-}
-
 /** The eval fabric with one dead PE off-centre. */
 MachineConfig
 deadPeFabric()
@@ -154,7 +131,7 @@ TEST(PlacementGolden, EvalFabric)
 
 TEST(PlacementGolden, SlowMeshFabric)
 {
-    checkFabric(slowMeshFabric(),
+    checkFabric(slowMeshEvalFabric(),
                 {
                     {"VI", 0x57223ed2d7e4440eull, "8 8", 326, 183},
                     {"NW", 0x331a4ae2b619cf9eull, "16 8", 224, 49},
