@@ -286,7 +286,10 @@ JsonWriter::render(std::string &out, const Json &v, int indent,
     if (const auto *array = std::get_if<Json::Array>(&v.value_)) {
         const bool nested = std::any_of(
             array->begin(), array->end(),
-            [](const Json &e) { return e.value_.index() >= 5; });
+            [](const Json &e) {
+                return std::holds_alternative<Json::Array>(e.value_) ||
+                       std::holds_alternative<Json::Object>(e.value_);
+            });
         container('[', ']', array->size(), !one_line && nested,
                   [&](std::size_t i) {
                       render(out, (*array)[i], indent + 2, true);
