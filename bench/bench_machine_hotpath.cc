@@ -1,9 +1,9 @@
 /**
  * @file
  * Hot-path throughput of the cycle-accurate machine, reported as
- * simulated cycles per wall-clock second.
+ * simulated cycles per wall-clock second and FU firings per cycle.
  *
- * Two extremes bracket the simulator's per-cycle cost:
+ * Two synthetic extremes bracket the simulator's per-cycle cost:
  *
  *  - *idle-heavy*: a 16x16 array where only a 4-PE pipeline works
  *    and the other 252 PEs are unprogrammed.  This is the common
@@ -13,13 +13,33 @@
  *    cycles, so the active worklist is the whole array and the
  *    event-driven machinery must not cost anything.
  *
- * BENCH_hotpath.json records before/after numbers for the
- * activity-driven rework.
+ * Both run on the reference loop (fast=0) and the activity-driven
+ * hot path (fast=1).  Two real Table-5 kernels compiled for the
+ * 10x10 eval fabric set the rate against actual workloads: GEMM
+ * (x8-unrolled, the densest firing pattern) and CRC (a short,
+ * sparse serial kernel).  Only run() is timed; compile and
+ * prepare() are not.
+ *
+ * --report=PATH writes every benchmark's result (the median when
+ * --benchmark_repetitions is set) through the report module, as
+ * BENCH_hotpath.json:
+ *
+ *   bench_machine_hotpath --benchmark_repetitions=5 \
+ *       --report=BENCH_hotpath.json
  */
 
 #include "bench_common.h"
 
+#include <cstring>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "compiler/program_builder.h"
+#include "report/json.h"
 
 namespace marionette
 {
@@ -81,11 +101,24 @@ bigArrayConfig()
     return config;
 }
 
+/** Per-run counters every row reports (medians under repetitions);
+ *  the label names the fabric and the run path. */
 void
-reportSimRate(benchmark::State &state, std::uint64_t sim_cycles)
+reportRun(benchmark::State &state, const MachineConfig &config,
+          std::uint64_t sim_cycles, std::uint64_t fires)
 {
+    const double runs = static_cast<double>(state.iterations());
     state.counters["sim_cycles_per_sec"] = benchmark::Counter(
         static_cast<double>(sim_cycles), benchmark::Counter::kIsRate);
+    state.counters["sim_cycles"] =
+        static_cast<double>(sim_cycles) / runs;
+    state.counters["fires_per_cycle"] =
+        sim_cycles == 0 ? 0.0
+                        : static_cast<double>(fires) /
+                              static_cast<double>(sim_cycles);
+    state.SetLabel(std::to_string(config.rows) + "x" +
+                   std::to_string(config.cols) +
+                   (config.eventDrivenSim ? " event" : " reference"));
 }
 
 void
@@ -96,13 +129,14 @@ BM_IdleHeavy(benchmark::State &state)
     Program prog = idleHeavyKernel(config, 50'000);
     MarionetteMachine m(config);
     std::uint64_t sim_cycles = 0;
+    std::uint64_t fires = 0;
     for (auto _ : state) {
         m.load(prog);
         RunResult r = m.run();
         sim_cycles += r.cycles;
-        benchmark::DoNotOptimize(r.totalFires);
+        fires += r.totalFires;
     }
-    reportSimRate(state, sim_cycles);
+    reportRun(state, config, sim_cycles, fires);
 }
 BENCHMARK(BM_IdleHeavy)
     ->Arg(0)
@@ -118,13 +152,14 @@ BM_FullyActive(benchmark::State &state)
     Program prog = fullyActiveKernel(config, 50'000);
     MarionetteMachine m(config);
     std::uint64_t sim_cycles = 0;
+    std::uint64_t fires = 0;
     for (auto _ : state) {
         m.load(prog);
         RunResult r = m.run();
         sim_cycles += r.cycles;
-        benchmark::DoNotOptimize(r.totalFires);
+        fires += r.totalFires;
     }
-    reportSimRate(state, sim_cycles);
+    reportRun(state, config, sim_cycles, fires);
 }
 BENCHMARK(BM_FullyActive)
     ->Arg(0)
@@ -132,82 +167,148 @@ BENCHMARK(BM_FullyActive)
     ->ArgNames({"fast"})
     ->Unit(benchmark::kMillisecond);
 
-/** The fast-forward target: an LDPC/VI-class long steady loop — a
- *  fully pipelined counted generator feeding a short add chain for
- *  hundreds of thousands of trips — with the phase metadata the
- *  route pass would attach.  With ff=1 the engine proves the steady
- *  state after a handful of windows and replays the rest in O(1)
- *  per window. */
-Program
-steadyLoopKernel(const MachineConfig &config, Word iterations)
+/** A Table-5 kernel compiled once for the 10x10 eval fabric. */
+const CompiledKernel &
+evalKernel(const std::string &name)
 {
-    ProgramBuilder b("steady_loop", config);
-    b.setNumOutputs(1);
-    Instruction &gen = b.place(0, 0);
-    gen.mode = SenderMode::LoopOp;
-    gen.op = Opcode::Loop;
-    gen.loopStart = 0;
-    gen.loopBound = iterations;
-    gen.pipelineII = 1;
-    gen.dests = {DestSel::toPe(1, 0)};
-    b.setEntry(0, 0);
-    for (PeId pe = 1; pe <= 3; ++pe) {
-        Instruction &in = b.place(pe, 0);
-        in.mode = SenderMode::Dfg;
-        in.op = Opcode::Add;
-        in.a = OperandSel::channel(0);
-        in.b = OperandSel::immediate(1);
-        in.dests = {pe == 3 ? DestSel::toOutput(0)
-                            : DestSel::toPe(pe + 1, 0)};
-        b.setEntry(pe, 0);
+    static std::map<std::string, std::shared_ptr<const CompiledKernel>>
+        compiled;
+    std::shared_ptr<const CompiledKernel> &kernel = compiled[name];
+    if (!kernel) {
+        CompileResult r = Compiler(evalFabric()).compile(name);
+        if (!r.ok())
+            MARIONETTE_FATAL("%s does not compile: %s", name.c_str(),
+                             r.report.reason.c_str());
+        kernel = r.kernel;
     }
-    Program prog = b.finish();
-    PhaseInfo phase;
-    phase.generator = 0;
-    phase.trips = iterations;
-    phase.recurrenceII = 1;
-    phase.fillLatency = 8;
-    phase.steadyWindow = 1;
-    phase.counted = true;
-    prog.phases = {phase};
-    return prog;
+    return *kernel;
 }
 
 void
-BM_SteadyStateFastForward(benchmark::State &state)
+BM_EvalKernel(benchmark::State &state, const char *name)
 {
-    MachineConfig config = bigArrayConfig();
-    config.fastForward = state.range(0) != 0;
-    Program prog = steadyLoopKernel(config, 500'000);
-    MarionetteMachine m(config);
+    const MachineConfig config = evalFabric();
+    const CompiledKernel &kernel = evalKernel(name);
     std::uint64_t sim_cycles = 0;
+    std::uint64_t fires = 0;
+    bool exact = true;
+    // A fresh machine per run; the old one is destroyed untimed.
+    std::optional<MarionetteMachine> m;
     for (auto _ : state) {
-        m.load(prog);
-        RunResult r = m.run();
+        state.PauseTiming();
+        m.emplace(config);
+        kernel.prepare(*m);
+        state.ResumeTiming();
+        RunResult r = m->run(kernel.cycleBudget);
+        state.PauseTiming();
+        exact = exact && r.ok() && kernel.validate(*m, r).empty();
         sim_cycles += r.cycles;
-        benchmark::DoNotOptimize(r.totalFires);
+        fires += r.totalFires;
+        state.ResumeTiming();
     }
-    reportSimRate(state, sim_cycles);
-    state.counters["ff_engagements"] = static_cast<double>(
-        m.fastForwardStats().engagements);
-    state.counters["ff_cycles_skipped"] = static_cast<double>(
-        m.fastForwardStats().cyclesSkipped);
+    if (!exact)
+        state.SkipWithError("run is not bit-exact against the golden");
+    reportRun(state, config, sim_cycles, fires);
 }
-BENCHMARK(BM_SteadyStateFastForward)
-    ->Arg(0)
-    ->Arg(1)
-    ->ArgNames({"ff"})
+BENCHMARK_CAPTURE(BM_EvalKernel, GEMM, "GEMM")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_EvalKernel, CRC, "CRC")
     ->Unit(benchmark::kMillisecond);
 
-void
-printHotpath()
+/** Console output as usual, plus every result kept for --report
+ *  (per benchmark: its median aggregate, else its last run). */
+class CapturingReporter : public benchmark::ConsoleReporter
 {
-    std::printf("machine hot-path throughput: simulated cycles per "
-                "wall-clock second\n(fast=0 reference tick-all "
-                "loop, fast=1 activity-driven hot path)\n\n");
-}
+  public:
+    CapturingReporter() : ConsoleReporter(OO_Tabular) {}
+
+    void
+    ReportRuns(const std::vector<Run> &runs) override
+    {
+        for (const Run &run : runs) {
+            const bool median = run.run_type == Run::RT_Aggregate &&
+                                run.aggregate_name == "median";
+            if (run.run_type == Run::RT_Iteration || median)
+                results_[run.run_name.str()] = run;
+        }
+        ConsoleReporter::ReportRuns(runs);
+    }
+
+    bool
+    save(const std::string &path) const
+    {
+        report::Json::Array rows;
+        std::int64_t repetitions = 1;
+        for (const auto &[name, run] : results_) {
+            repetitions = run.repetitions;
+            auto counter = [&run](const char *key) {
+                const auto it = run.counters.find(key);
+                return it == run.counters.end() ? 0.0
+                                                : it->second.value;
+            };
+            rows.push_back(
+                report::Json::object()
+                    .set("name", name)
+                    .set("label", run.report_label)
+                    .set("sim_cycles", static_cast<std::int64_t>(
+                                           counter("sim_cycles")))
+                    .set("sim_mcycles_per_sec",
+                         counter("sim_cycles_per_sec") / 1e6)
+                    .set("fires_per_cycle", counter("fires_per_cycle")));
+        }
+        return report::JsonWriter()
+            .set("artifact", "hotpath")
+            .set("benchmark", "bench/bench_machine_hotpath.cc")
+            .set("metric", "simulated cycles per wall-clock second of "
+                           "MarionetteMachine::run()")
+            .set("method", "median of the repetitions; compile and "
+                           "prepare untimed")
+            .set("repetitions", repetitions)
+            .set("build_type", MARIONETTE_BUILD_TYPE)
+            .set("compiler", __VERSION__)
+            .set("hw_threads",
+                 static_cast<std::int64_t>(
+                     std::thread::hardware_concurrency()))
+            .set("rows", std::move(rows))
+            .save(path, "hotpath");
+    }
+
+  private:
+    std::map<std::string, Run> results_;
+};
 
 } // namespace
 } // namespace marionette
 
-MARIONETTE_BENCH_MAIN(marionette::printHotpath)
+int
+main(int argc, char **argv)
+{
+    std::printf("machine hot-path throughput: simulated cycles per "
+                "wall-clock second\n(fast=0 reference tick-all "
+                "loop, fast=1 activity-driven hot path; BM_EvalKernel "
+                "runs compiled Table-5 kernels on the 10x10 eval "
+                "fabric)\n\n");
+    // Take --report=PATH out before google-benchmark sees argv.
+    std::string report_path;
+    int kept = 1;
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], "--report=", 9) == 0)
+            report_path = argv[i] + 9;
+        else
+            argv[kept++] = argv[i];
+    }
+    argc = kept;
+    ::benchmark::Initialize(&argc, argv);
+    if (::benchmark::ReportUnrecognizedArguments(argc, argv))
+        return 1;
+    bool saved = true;
+    if (report_path.empty()) {
+        ::benchmark::RunSpecifiedBenchmarks();
+    } else {
+        marionette::CapturingReporter reporter;
+        ::benchmark::RunSpecifiedBenchmarks(&reporter);
+        saved = reporter.save(report_path);
+    }
+    ::benchmark::Shutdown();
+    return saved ? 0 : 1;
+}

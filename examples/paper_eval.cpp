@@ -47,13 +47,6 @@
  *                  machine, and write the per-factor cycles /
  *                  chosen-factor / bit-exactness table as JSON
  *                  (BENCH_unroll_ablation.json).
- *   --fast-forward=on|off
- *                  force the steady-state fast-forward engine for
- *                  the machine validation (default: the config's
- *                  default, on).  With "on" every selected kernel
- *                  is additionally run both ways and the results
- *                  compared — a non-zero exit on any divergence is
- *                  CI's fast-forward smoke gate.
  *   --snapshot-stats
  *                  run the machine validation twice through a
  *                  snapshot warm-start cache and print the
@@ -111,10 +104,6 @@ struct Options
     /** Unroll-factor ablation mode: compile GEMM/LDPC at a ladder
      *  of caps and write the table to this path. */
     std::string unrollAblationPath;
-    /** Steady-state fast-forward: -1 = config default (on),
-     *  0 = forced off, 1 = forced on *plus* the both-ways
-     *  bit-exactness smoke comparison. */
-    int fastForward = -1;
     /** Print snapshot warm-start cache statistics (runs the
      *  validation grid twice through a SnapshotCache). */
     bool snapshotStats = false;
@@ -142,7 +131,7 @@ usageError(const char *why, const char *detail)
                  "[--check-coverage=PATH] [--placer=snake|cost] "
                  "[--mapped-report=PATH] [--unroll=N] "
                  "[--unroll-ablation=PATH] "
-                 "[--fast-forward=on|off] [--snapshot-stats] "
+                 "[--snapshot-stats] "
                  "[--serve-smoke] [--faults] "
                  "[--fault-grid=DEADPES,DEADLINKS] "
                  "[--fault-seed=N] [--resilience-report=PATH]\n");
@@ -234,15 +223,6 @@ parseArgs(int argc, char **argv, Options &opts)
             if (!parsePlacerName(arg + 9, opts.compile.placer))
                 return usageError("unknown placer (snake|cost)",
                                   arg + 9);
-        } else if (std::strncmp(arg, "--fast-forward=", 15) == 0) {
-            if (std::strcmp(arg + 15, "on") == 0)
-                opts.fastForward = 1;
-            else if (std::strcmp(arg + 15, "off") == 0)
-                opts.fastForward = 0;
-            else
-                return usageError("bad --fast-forward value "
-                                  "(want on|off)",
-                                  arg + 15);
         } else if (std::strcmp(arg, "--snapshot-stats") == 0) {
             opts.snapshotStats = true;
         } else if (std::strcmp(arg, "--serve-smoke") == 0) {
@@ -325,12 +305,8 @@ struct KernelCoverage
 std::vector<KernelCoverage>
 machineValidation(const Options &opts, const SweepRunner &runner)
 {
-    MachineConfig big = evalFabric();
-    MachineConfig alt = slowMeshEvalFabric();
-    if (opts.fastForward >= 0) {
-        big.fastForward = opts.fastForward != 0;
-        alt.fastForward = opts.fastForward != 0;
-    }
+    const MachineConfig big = evalFabric();
+    const MachineConfig alt = slowMeshEvalFabric();
 
     const CompilerOptions &copts = opts.compile;
     std::vector<KernelSweepJob> jobs;
@@ -409,71 +385,6 @@ machineValidation(const Options &opts, const SweepRunner &runner)
         coverage.push_back(std::move(c));
     }
     return coverage;
-}
-
-/**
- * The fast-forward smoke gate (--fast-forward=on): every selected
- * kernel runs on the primary fabric with the engine forced off and
- * forced on, and the two runs must agree on cycles, fires and every
- * output word.  The engine only ever skips work it has proven
- * redundant, so *any* divergence is a bug; CI runs this over the
- * long kernels (LDPC, VI).  The exhaustive byte-level check
- * (renderAllStats, memory dumps, all three sim paths) lives in
- * tests/fastforward_equivalence_test.cc.
- */
-bool
-fastForwardSmoke(const Options &opts, const SweepRunner &runner)
-{
-    const CompilerOptions &copts = opts.compile;
-    std::vector<KernelSweepJob> jobs;
-    std::vector<std::string> labels;
-    for (const Workload *w : allWorkloads()) {
-        if (!selected(opts, w->name()))
-            continue;
-        for (bool ff : {false, true}) {
-            MachineConfig config = evalFabric();
-            config.fastForward = ff;
-            jobs.push_back(KernelSweepJob{w, config, 0, copts});
-        }
-        labels.push_back(w->name());
-    }
-
-    ProgramCache cache;
-    std::vector<KernelSweepResult> results =
-        runner.runKernels(jobs, cache);
-
-    std::printf("\n== Fast-forward smoke gate (engine off vs on, "
-                "primary fabric) ==\n");
-    bool ok = true;
-    for (std::size_t k = 0; k < labels.size(); ++k) {
-        const KernelSweepResult &off = results[2 * k];
-        const KernelSweepResult &on = results[2 * k + 1];
-        if (!off.compiled) {
-            std::printf("  %-6s rejected (%s) — skipped\n",
-                        labels[k].c_str(), off.diagnostic.c_str());
-            continue;
-        }
-        bool same = off.run.cycles == on.run.cycles &&
-                    off.run.totalFires == on.run.totalFires &&
-                    off.run.outputs == on.run.outputs &&
-                    off.validated && on.validated;
-        std::printf("  %-6s %10llu cycles  %s\n", labels[k].c_str(),
-                    static_cast<unsigned long long>(on.run.cycles),
-                    same ? "identical off/on, bit-exact vs golden"
-                         : "DIVERGED");
-        if (!same) {
-            std::fprintf(stderr,
-                         "fast-forward smoke: %s diverged (off: "
-                         "%llu cycles, on: %llu cycles)\n",
-                         labels[k].c_str(),
-                         static_cast<unsigned long long>(
-                             off.run.cycles),
-                         static_cast<unsigned long long>(
-                             on.run.cycles));
-            ok = false;
-        }
-    }
-    return ok;
 }
 
 /**
@@ -1434,8 +1345,6 @@ main(int argc, char **argv)
     if (!opts.mappedReportPath.empty() &&
         !writeMappedReport(opts.mappedReportPath,
                            mappedCyclesAb(opts, runner)))
-        return 1;
-    if (opts.fastForward == 1 && !fastForwardSmoke(opts, runner))
         return 1;
     if (opts.snapshotStats)
         snapshotStatsRun(opts, runner);

@@ -30,15 +30,10 @@
  * (sim/event_queue.h) bucketed by arrival cycle, as does the data
  * mesh's traffic, making delivery O(arrivals) per cycle.
  *
- * On top of the hot path, the steady-state fast-forward engine
- * (sim/fastforward.h, MachineConfig::fastForward) skips whole
- * pipeline-steady windows in O(1) once a phase's activity is proven
- * periodic — again bit-identical to executing them.  The same
- * state-capture machinery backs machine snapshots: snapshot()
- * deep-copies every mutable field of a loaded machine and restore()
- * brings an identically-configured machine back to that point, so
- * sweeps can warm-start repeated runs from a compiled+filled
- * checkpoint instead of re-preparing from scratch.
+ * snapshot() deep-copies every mutable field of a loaded machine and
+ * restore() brings an identically-configured machine back to that
+ * point, so sweeps can warm-start repeated runs from a
+ * compiled+filled checkpoint instead of re-preparing from scratch.
  */
 
 #ifndef MARIONETTE_ARCH_MACHINE_H
@@ -56,7 +51,6 @@
 #include "pe/pe.h"
 #include "sim/config.h"
 #include "sim/event_queue.h"
-#include "sim/fastforward.h"
 #include "sim/stats.h"
 
 namespace marionette
@@ -150,6 +144,20 @@ struct RunResult
 
     /** Healthy and ran to quiescence. */
     bool ok() const { return finished && error == RunError::None; }
+};
+
+/**
+ * Counters of a fast-forward engine the simulator no longer has;
+ * MarionetteMachine::fastForwardStats() returns them all zero.  Kept
+ * only because the repository benchmark (perfbench/) still reads
+ * them.
+ */
+struct FastForwardStats
+{
+    std::uint64_t probes = 0;
+    std::uint64_t declines = 0;
+    std::uint64_t engagements = 0;
+    std::uint64_t cyclesSkipped = 0;
 };
 
 /** The Marionette spatial-architecture instance. */
@@ -298,14 +306,12 @@ class MarionetteMachine : public FabricIface
      */
     void restore(const Snapshot &snapshot);
 
-    /** Fast-forward engine counters of the current program; all
-     *  zero when the engine is disarmed (config toggle off, faults
-     *  present, or no phase metadata). */
+    /** Always all zero: the simulator has no fast-forward engine.
+     *  Kept only because the repository benchmark (perfbench/)
+     *  still reads it. */
     const FastForwardStats &fastForwardStats() const;
 
   private:
-    friend class FastForwardEngine;
-
     /** Ticks a sleeping PE stays tick-eligible after its last
      *  activity before leaving the worklist (the quiescent grace
      *  window of the activity-driven hot path). */
@@ -318,33 +324,6 @@ class MarionetteMachine : public FabricIface
     void wake(PeId pe);
     bool peDead(PeId pe) const
     { return peDead_[static_cast<std::size_t>(pe)] != 0; }
-
-    /**
-     * Visit every mutable field of the machine in a fixed canonical
-     * order (sim/ffstate.h): the fast-forward engine's capture and
-     * jump both walk this one function, so the fingerprint layout
-     * and the rewrite layout can never drift apart.  @p now is the
-     * current cycle — absolute event times are emitted
-     * now-relative.  Output FIFOs are *not* visited (append-only;
-     * the engine extrapolates them block-wise).
-     *
-     * @p tick_horizon bounds the per-PE tick-recency Control: a PE
-     * whose last tick is at most that many cycles old is emitted
-     * with its exact distance (it participates in the periodic
-     * pattern and must recur on schedule); older anchors collapse
-     * to one sentinel (the PE sleeps through the steady state and
-     * its anchor stays absolute for backfill accounting).
-     */
-    void ffVisitAll(FfVisitor &v, Cycle now, Cycles tick_horizon);
-
-    /** Rebase every absolute-cycle anchor (in-flight completions
-     *  and arrivals, pending configurations, loop fire times,
-     *  recently-active tick anchors) across a clock jump. */
-    void ffShiftAll(Cycle now, Cycles delta, Cycles tick_horizon);
-
-    /** Arm or disarm the fast-forward engine for the loaded
-     *  program (called from load() and restore()). */
-    void armFastForward();
 
     MachineConfig config_;
     std::vector<std::unique_ptr<Pe>> pes_;
@@ -399,10 +378,6 @@ class MarionetteMachine : public FabricIface
     Stat &statCtrlWords_;
     Stat &statCycles_;
     Stat &statTotalFires_;
-
-    /** Steady-state fast-forward engine; armed per loaded program
-     *  (null when declined — see armFastForward()). */
-    std::unique_ptr<FastForwardEngine> ff_;
 };
 
 /** Convenience alias for the sweep layer's checkpoint cache. */

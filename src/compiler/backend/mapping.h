@@ -121,9 +121,6 @@ struct PhaseRoute
     Cycles maxEdgeLatency = 0;
     /** Memory-touching operators (drain/contention bounds). */
     int memNodes = 0;
-    /** Steady-state fingerprint window exported with the program
-     *  (isa PhaseInfo::steadyWindow): max(1, recurrenceII). */
-    Cycles steadyWindow = 1;
 };
 
 /** The whole kernel's route plan. */

@@ -298,9 +298,6 @@ passRoute(Compilation &cc)
             }
         }
 
-        route.steadyWindow =
-            std::max<Cycles>(1, route.recurrenceII);
-
         std::ostringstream note;
         note << "phase " << p << ": " << route.edges.size()
              << " data edge(s), recurrence II ~"

@@ -201,31 +201,6 @@ struct CtrlLink
     int fifo = -1;
 };
 
-/**
- * Per-phase steady-state metadata the route pass exports with the
- * emitted program (ISSUE 9).  Purely descriptive: it does not change
- * what the machine executes, only seeds the fast-forward engine's
- * steady-state probes (sim/fastforward.h).  Not part of the encoded
- * instruction image, so instruction-memory sizing is unaffected.
- */
-struct PhaseInfo
-{
-    /** The phase's loop-generator PE (drain phases included). */
-    PeId generator = invalidPe;
-    /** Generator trip count (loop bound / step = 1). */
-    Word trips = 0;
-    /** Routed steady-state initiation interval (cycles). */
-    Cycles recurrenceII = 0;
-    /** Pipeline fill latency (longest feed-forward path). */
-    Cycles fillLatency = 0;
-    /** Fingerprint window for steady-state probes:
-     *  max(1, recurrenceII). */
-    Cycles steadyWindow = 1;
-    /** False for while-form phases whose trip count is dynamic —
-     *  fast-forward never arms on those. */
-    bool counted = true;
-};
-
 /** A complete compiled kernel. */
 struct Program
 {
@@ -235,10 +210,6 @@ struct Program
     int numAddrs = 0;
     /** Output FIFO count the kernel writes. */
     int numOutputs = 0;
-    /** Steady-state metadata per phase (generators first, then the
-     *  drain generators), in serial execution order.  Empty for
-     *  hand-built programs — fast-forward then stays disarmed. */
-    std::vector<PhaseInfo> phases;
 
     /** Find the program of @p pe; nullptr when the PE is unused. */
     const PeProgram *forPe(PeId pe) const;

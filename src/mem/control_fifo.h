@@ -15,7 +15,6 @@
 
 #include <deque>
 
-#include "sim/ffstate.h"
 #include "sim/stats.h"
 #include "sim/types.h"
 
@@ -72,18 +71,6 @@ class ControlFifo
     StatGroupState saveStats() const
     {
         return stats_.captureState();
-    }
-
-    /** Fast-forward visit: occupancy Control, words Values, stats
-     *  Values (max_occupancy included: occupancy is Control-pinned,
-     *  so the running max is constant in steady state). */
-    void
-    ffVisit(FfVisitor &v)
-    {
-        ffCtl(v, entries_.size());
-        for (Word &w : entries_)
-            ffWord(v, w);
-        stats_.ffVisit(v);
     }
 
   private:

@@ -133,10 +133,6 @@ class ControlNetwork
         stats_.restoreState(state);
     }
 
-    /** Fast-forward visit: the run loop never reconfigures the
-     *  network mid-kernel, so everything is a constant Value. */
-    void ffVisit(FfVisitor &v) { stats_.ffVisit(v); }
-
   private:
     int inPosition(int port) const { return port * strideIn_; }
     int outPosition(int port) const { return port * strideOut_; }

@@ -259,24 +259,6 @@ class Pe
     State saveState() const;
     void restoreState(const State &state);
 
-    /** Fast-forward visit over every mutable field (sim/ffstate.h);
-     *  time anchors are emitted now-relative and rebased by
-     *  ffShift() when the clock jumps. */
-    void ffVisit(FfVisitor &v, Cycle now);
-
-    /** Rebase in-flight completions, the pending configuration and
-     *  the loop fire time across a clock jump of @p delta. */
-    void ffShift(Cycles delta);
-
-    // ---- fast-forward engine introspection ----
-    /** Loaded instruction buffer (op-whitelist gate). */
-    const std::vector<Instruction> &instructions() const
-    { return instrs_; }
-    /** Loop operator runtime state (jump-length guard). */
-    bool loopActive() const { return loopActive_; }
-    Word loopIter() const { return loopIter_; }
-    Word loopBound() const { return loopBound_; }
-
   private:
     const Instruction *current() const;
 

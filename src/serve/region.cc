@@ -276,9 +276,6 @@ mergeKernels(
         out.program.numAddrs =
             std::max(out.program.numAddrs, program.numAddrs);
         out.program.numOutputs += program.numOutputs;
-        // Program::phases stays empty on purpose: interleaved
-        // tenants have no single steady state, so the fast-forward
-        // engine must not arm on a composite.
         for (const BootInjection &boot : kernel->boots)
             out.boots.push_back(boot);
         out.cycleBudget += kernel->cycleBudget;

@@ -1,9 +1,6 @@
 #include "sim/stats.h"
 
-#include <algorithm>
 #include <sstream>
-
-#include "sim/ffstate.h"
 
 namespace marionette
 {
@@ -62,27 +59,6 @@ StatGroup::restoreState(const StatGroupState &state)
         kv.second.restore(0, false);
     for (const auto &[name, value, touched] : state.stats)
         stats_[name].restore(value, touched);
-}
-
-void
-StatGroup::ffVisit(FfVisitor &v,
-                   const std::vector<std::string> &derived)
-{
-    FfHash names;
-    for (const auto &kv : stats_) {
-        for (char c : kv.first)
-            names.mix(static_cast<unsigned char>(c));
-        names.mix(kv.second.touched() ? 1 : 2);
-    }
-    ffCtl(v, names.value());
-    for (auto &kv : stats_) {
-        if (std::find(derived.begin(), derived.end(), kv.first) !=
-            derived.end())
-            continue;
-        kv.second.restore(v.field(FieldKind::Value,
-                                  kv.second.value()),
-                          kv.second.touched());
-    }
 }
 
 std::string

@@ -28,8 +28,6 @@
 namespace marionette
 {
 
-class FfVisitor;
-
 /** A single named scalar statistic (a 64-bit counter or gauge). */
 class Stat
 {
@@ -120,17 +118,6 @@ class StatGroup
      * capture time.
      */
     void restoreState(const StatGroupState &state);
-
-    /**
-     * Fast-forward visit (sim/ffstate.h): one Control field folding
-     * every stat's name and touched flag (a stat appearing or
-     * flipping touched mid-window is a structural change and must
-     * decline the probe), then each value as a Value field — except
-     * names listed in @p derived, which the caller recomputes after
-     * a jump (running maxima whose argmax may migrate).
-     */
-    void ffVisit(FfVisitor &v,
-                 const std::vector<std::string> &derived = {});
 
   private:
     std::string prefix_;

@@ -155,15 +155,15 @@ summarizeKernelSweep(const std::vector<KernelSweepResult> &results);
  * compile, is CompiledKernel::prepare(): loading the program and
  * filling the scratchpad with the workload's inputs.  Repeated runs
  * of the same (workload, config, compile-options) cell — validation
- * reps, fast-forward A/B comparisons, retry studies — can restore a
+ * reps, hot-path A/B comparisons, retry studies — can restore a
  * machine snapshot taken right after the first prepare() instead.
  * Restoring is bit-identical to preparing from scratch (see
  * MarionetteMachine::restore), so warm-started results are the same
  * to the byte.
  *
  * Thread-safe; snapshots are shared immutably across jobs.  Keyed
- * by the program cache's ProgramKey, so simulator-only toggles
- * (eventDrivenSim, fastForward) share one checkpoint.
+ * by the program cache's ProgramKey, so the simulator-only toggle
+ * eventDrivenSim shares one checkpoint.
  */
 class SnapshotCache
 {

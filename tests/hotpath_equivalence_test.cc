@@ -51,6 +51,23 @@ runOnce(const MachineConfig &config, const Program &prog,
     return cap;
 }
 
+/** Every observable of two runs matches, byte for byte. */
+void
+expectSame(const RunCapture &ref, const RunCapture &fast,
+           const std::string &label = "")
+{
+    EXPECT_EQ(ref.result.cycles, fast.result.cycles) << label;
+    EXPECT_EQ(ref.result.finished, fast.result.finished) << label;
+    EXPECT_EQ(ref.result.totalFires, fast.result.totalFires) << label;
+    EXPECT_EQ(ref.result.outputs, fast.result.outputs) << label;
+    EXPECT_DOUBLE_EQ(ref.result.peUtilization,
+                     fast.result.peUtilization)
+        << label;
+    EXPECT_EQ(ref.result.error, fast.result.error) << label;
+    EXPECT_EQ(ref.stats, fast.stats) << label;
+    EXPECT_EQ(ref.memDump, fast.memDump) << label;
+}
+
 void
 expectIdentical(const MachineConfig &base, const Program &prog,
                 const std::function<void(MarionetteMachine &)>
@@ -63,19 +80,10 @@ expectIdentical(const MachineConfig &base, const Program &prog,
     MachineConfig fast_config = base;
     fast_config.eventDrivenSim = true;
 
-    RunCapture ref = runOnce(ref_config, prog, setup, dump_base,
-                             dump_count, max_cycles);
-    RunCapture fast = runOnce(fast_config, prog, setup, dump_base,
-                              dump_count, max_cycles);
-
-    EXPECT_EQ(ref.result.cycles, fast.result.cycles);
-    EXPECT_EQ(ref.result.finished, fast.result.finished);
-    EXPECT_EQ(ref.result.totalFires, fast.result.totalFires);
-    EXPECT_EQ(ref.result.outputs, fast.result.outputs);
-    EXPECT_DOUBLE_EQ(ref.result.peUtilization,
-                     fast.result.peUtilization);
-    EXPECT_EQ(ref.stats, fast.stats);
-    EXPECT_EQ(ref.memDump, fast.memDump);
+    expectSame(runOnce(ref_config, prog, setup, dump_base, dump_count,
+                       max_cycles),
+               runOnce(fast_config, prog, setup, dump_base, dump_count,
+                       max_cycles));
 }
 
 /** Workload 1: simple-loops shape — one generator feeding a short
@@ -377,44 +385,48 @@ TEST(HotpathEquivalence, FifoFedInnerLoop)
 
 /** Compiled workloads, driven from workloadNames() rather than a
  *  hard-coded kernel list: every kernel the compiler accepts on the
- *  paper-prototype fabric must be path-equivalent too.  (The full
- *  Table-5 matrix on the enlarged fabric runs in
- *  fastforward_equivalence_test.cc's three-way check.) */
+ *  paper-prototype fabric and on the 10x10 eval fabric must be
+ *  path-equivalent, down to the full scratchpad image. */
 TEST(HotpathEquivalence, CompiledWorkloadsRefVsEvent)
 {
-    MachineConfig config; // paper-prototype defaults.
-    Compiler compiler(config);
-    int covered = 0;
-    for (const std::string &name : workloadNames()) {
-        CompileResult r = compiler.compile(name);
-        if (!r.ok())
-            continue; // too big for the prototype, or unsupported.
-        ++covered;
-        MachineConfig ref = config;
-        ref.eventDrivenSim = false;
-        MachineConfig fast = config;
-        fast.eventDrivenSim = true;
-
-        RunCapture caps[2];
-        const MachineConfig *variants[2] = {&ref, &fast};
-        for (int i = 0; i < 2; ++i) {
-            MarionetteMachine m(*variants[i]);
-            r.kernel->prepare(m);
-            caps[i].result = m.run(r.kernel->cycleBudget);
-            caps[i].stats = m.renderAllStats();
-            EXPECT_EQ(r.kernel->validate(m, caps[i].result), "")
-                << name;
+    struct Fabric
+    {
+        const char *name;
+        MachineConfig config;
+        /** Kernels that must compile, so an empty loop fails. */
+        int floor;
+    };
+    const Fabric fabrics[] = {
+        {"prototype", MachineConfig{}, 2}, // SI and CRC fit.
+        {"eval", evalFabric(), 10},
+    };
+    for (const Fabric &fabric : fabrics) {
+        Compiler compiler(fabric.config);
+        int covered = 0;
+        for (const std::string &name : workloadNames()) {
+            CompileResult r = compiler.compile(name);
+            if (!r.ok())
+                continue; // too big for the fabric, or unsupported.
+            ++covered;
+            const std::string label = name + " on " + fabric.name;
+            RunCapture caps[2];
+            for (int i = 0; i < 2; ++i) {
+                MachineConfig config = fabric.config;
+                config.eventDrivenSim = i == 1;
+                MarionetteMachine m(config);
+                r.kernel->prepare(m);
+                caps[i].result = m.run(r.kernel->cycleBudget);
+                caps[i].stats = m.renderAllStats();
+                caps[i].memDump = m.scratchpad().dump(
+                    0, static_cast<int>(config.scratchpadBytes /
+                                        sizeof(Word)));
+                EXPECT_EQ(r.kernel->validate(m, caps[i].result), "")
+                    << label;
+            }
+            expectSame(caps[0], caps[1], label);
         }
-        EXPECT_EQ(caps[0].result.cycles, caps[1].result.cycles)
-            << name;
-        EXPECT_EQ(caps[0].result.outputs, caps[1].result.outputs)
-            << name;
-        EXPECT_EQ(caps[0].result.totalFires,
-                  caps[1].result.totalFires)
-            << name;
-        EXPECT_EQ(caps[0].stats, caps[1].stats) << name;
+        EXPECT_GE(covered, fabric.floor) << fabric.name;
     }
-    EXPECT_GE(covered, 2); // SI and CRC fit the prototype.
 }
 
 } // namespace

@@ -3,12 +3,15 @@
  * The report module's JSON writer and strict reader: the artifact
  * layout byte for byte, escape round-trips, and the reader failing
  * closed on truncated input, trailing bytes, duplicate keys, wrong
- * types and missing keys.
+ * types and missing keys.  Every committed BENCH_*.json artifact
+ * must pass the same strict reader and lead with the current schema
+ * version.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <set>
 #include <string>
 
 #include "report/json.h"
@@ -172,6 +175,50 @@ TEST(ReportJson, WriterRejectsNonFiniteNumbers)
     JsonWriter doc;
     doc.set("bad", std::numeric_limits<double>::infinity());
     EXPECT_EQ(errorOf([&] { doc.str(); }), "non-finite number");
+}
+
+/** The artifact path under the source tree. */
+std::string
+artifact(const char *name)
+{
+    return std::string(MARIONETTE_SOURCE_DIR) + "/" + name;
+}
+
+TEST(ReportJson, CommittedArtifactsParseStrictly)
+{
+    for (const char *name :
+         {"BENCH_compile_coverage.json", "BENCH_hotpath.json",
+          "BENCH_mapped_cycles.json", "BENCH_resilience.json",
+          "BENCH_serving.json", "BENCH_unroll_ablation.json"}) {
+        SCOPED_TRACE(name);
+        EXPECT_EQ(parseJsonFile(artifact(name))
+                      .get<std::int64_t>("schema_version"),
+                  kSchemaVersion);
+    }
+}
+
+/** bench_machine_hotpath's --report layout: one row per benchmark,
+ *  real-kernel rows included, every rate positive. */
+TEST(ReportJson, HotpathArtifactSchema)
+{
+    const Json doc = parseJsonFile(artifact("BENCH_hotpath.json"));
+    EXPECT_EQ(doc.get<std::string>("artifact"), "hotpath");
+    EXPECT_GE(doc.get<std::int64_t>("repetitions"), 1);
+    std::set<std::string> names;
+    for (const Json &row : doc.get<Json::Array>("rows")) {
+        const std::string &name = row.get<std::string>("name");
+        EXPECT_TRUE(names.insert(name).second) << name;
+        EXPECT_FALSE(row.get<std::string>("label").empty()) << name;
+        EXPECT_GT(row.get<std::int64_t>("sim_cycles"), 0) << name;
+        EXPECT_GT(row.at("sim_mcycles_per_sec").asNumber(), 0.0)
+            << name;
+        EXPECT_GT(row.at("fires_per_cycle").asNumber(), 0.0) << name;
+    }
+    for (const char *required :
+         {"BM_IdleHeavy/fast:0", "BM_IdleHeavy/fast:1",
+          "BM_FullyActive/fast:0", "BM_FullyActive/fast:1",
+          "BM_EvalKernel/GEMM", "BM_EvalKernel/CRC"})
+        EXPECT_EQ(names.count(required), 1u) << required;
 }
 
 } // namespace
